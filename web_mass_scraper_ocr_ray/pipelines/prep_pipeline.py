@@ -16,11 +16,15 @@ with no per-stage re-counting executions. The dedup survivor is
 chosen among quality-PASSING group members only (a low-quality copy
 never shadows a clean one); sampling applies to survivors.
 
-Scale shape: the only all-to-all is the dedup groupby, keyed by a
-64-bit text hash — the standard cost of global exact dedup. Every
-other stage is embarrassingly parallel. Output parts get
-content-deterministic filenames (retry-idempotent, like the extract
-sink); the run commits ONE atomic manifest with the counters.
+Scale shape: the only all-to-all is the dedup exchange — a
+distributed sort keyed by a 64-bit text hash, the standard cost of
+global exact dedup. A sort-reduce partition is one block and equal
+keys never straddle a range boundary, so every text_hash run arrives
+whole in one block; ONE vectorized kernel per block (a lexsort, no
+per-group call) then decides every run in it. Every other stage is
+embarrassingly parallel. Output parts get content-deterministic
+filenames (retry-idempotent, like the extract sink); the run commits
+ONE atomic manifest with the counters.
 
 The whole flag semantics is SQL-expressible, so the driver oracle
 (`corpus_prep` in __ray_entry__.py) independently verifies the
@@ -59,12 +63,12 @@ class PrepConfig:
     sample_default_bp: int = 10000
     output_dir: Optional[str] = None
     manifest_dirname: str = "_manifest"
-    # Two-pass global dedup — the 100 TB default. One-pass groupby
-    # (text_hash) moves FULL rows (incl. text) keyed by content, so a
-    # viral page's whole text mass lands on one worker; two-pass first
-    # shuffles only (doc_id, text_hash, drop_reason, source) — ~tens
-    # of bytes/row — to compute the dup/sample decisions, then joins
-    # the changed decisions back onto the wide rows keyed by the
+    # Two-pass global dedup — the 100 TB default. One-pass sorts FULL
+    # rows (incl. text) by text_hash, so a viral page's whole text mass
+    # lands in one reduce block; two-pass sorts only (doc_id,
+    # text_hash, drop_reason, source) — ~tens of bytes/row — runs the
+    # same per-block kernel to compute the dup/sample decisions, then
+    # joins the changed decisions back onto the wide rows keyed by the
     # UNIFORM doc_id (stages/joins.apply_keyed_updates). Identical
     # output; the content-keyed shuffle never sees the text column.
     dedup_two_pass: bool = False
@@ -73,6 +77,7 @@ class PrepConfig:
 def _flag_quality_and_scrub(t: pa.Table, cfg: PrepConfig) -> pa.Table:
     """Quality flag (token count + duplicate-word fraction) and PII
     redaction in one task — both reuse the textstats kernels."""
+    from ..functions.hashing import fnv64_bulk
     from ..stages.textstats import PII_PATTERNS, _repetition_kernel
 
     rep = _repetition_kernel(t, "text", with_bigrams=False)
@@ -101,83 +106,51 @@ def _flag_quality_and_scrub(t: pa.Table, cfg: PrepConfig) -> pa.Table:
     cols["drop_reason"] = reason
     # dedup key on the REDACTED text (what ships is what dedups);
     # uint64 hash reinterpreted as int64 (bit pattern, not value cast)
-    cols["text_hash"] = pa.array(
-        _hash_texts(red).view(np.int64), pa.int64())
+    cols["text_hash"] = pa.array(fnv64_bulk(red).view(np.int64), pa.int64())
     return pa.table(cols)
 
 
-def _hash_texts(arr) -> np.ndarray:
-    from ..functions.hashing import fnv64_bulk
-
-    return fnv64_bulk(arr.to_pylist())
-
-
 def _mark_dups(g, cfg: PrepConfig):
-    """One text_hash group: among quality-passing members the smallest
-    doc_id survives; every other member becomes DROP_DUPLICATE unless
-    already quality-dropped (precedence). The survivor then takes the
-    deterministic sample decision."""
-    import pandas as pd
+    """Dedup + sample decisions for EVERY text_hash run of a block
+    (pyarrow Table or pandas DataFrame → same type, only
+    ``drop_reason`` replaced). Per run, the smallest quality-passing
+    doc_id survives and the other quality-passing members become
+    DROP_DUPLICATE (quality drops keep their reason — precedence);
+    each survivor then takes the sample draw at its stratum's rate.
+    One lexsort by (text_hash, quality-failing, doc_id) puts each
+    run's survivor first, so the cost is a few whole-block numpy ops
+    however many runs the block holds; every run must arrive whole
+    (a sort-reduce block does)."""
+    from ..stages.sampling import lookup_per_row, sample_buckets
 
-    from ..stages.sampling import sample_buckets
-
-    reason = g["drop_reason"].to_numpy().copy()
     ids = g["doc_id"].to_numpy()
+    key = g["text_hash"].to_numpy()
+    reason = g["drop_reason"].to_numpy().astype(np.int8)  # a copy
     ok = reason == KEEP
-    if ok.any():
-        survivor = ids[ok].min()
-        dup = ok & (ids != survivor)
-        reason[dup] = DROP_DUPLICATE
-        if cfg.sample_rates_bp is not None:
-            srow = ok & (ids == survivor)
-            bucket = int(sample_buckets(ids[srow][:1])[0])
-            stratum = g["source"].to_numpy()[srow][0]
-            rate = cfg.sample_rates_bp.get(
-                stratum, cfg.sample_default_bp)
-            if bucket >= rate:
-                reason[srow] = DROP_SAMPLED_OUT
-    out = g.copy()
-    out["drop_reason"] = reason.astype("int8")
-    return out
+    order = np.lexsort((ids, ~ok, key))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    passing = ok[order]
+    survivors = order[first & passing]
+    reason[order[~first & passing]] = DROP_DUPLICATE
+    if cfg.sample_rates_bp is not None and len(survivors):
+        rates = lookup_per_row(g["source"], cfg.sample_rates_bp,
+                               cfg.sample_default_bp)[survivors]
+        out = sample_buckets(ids[survivors]) >= rates
+        reason[survivors[out]] = DROP_SAMPLED_OUT
+    if isinstance(g, pa.Table):
+        return g.set_column(g.schema.get_field_index("drop_reason"),
+                            "drop_reason", pa.array(reason, pa.int8()))
+    return g.assign(drop_reason=reason)
 
 
-def _decisions_from_group(g, cfg: PrepConfig):
-    """Skinny two-pass variant of :func:`_mark_dups`: one text_hash
-    group of (doc_id, drop_reason, source) rows → ONLY the rows whose
-    reason CHANGES (duplicate / sampled-out). Text never enters this
-    shuffle. Decision logic is identical — survivor = min doc_id among
-    quality-passers; the survivor takes the deterministic sample
-    draw — so the composed output is byte-identical to one-pass."""
-    import pandas as pd
-
-    from ..stages.sampling import sample_buckets
-
-    reason = g["drop_reason"].to_numpy()
-    ids = g["doc_id"].to_numpy()
-    ok = reason == KEEP
-    out_ids: list = []
-    out_reason: list = []
-    if ok.any():
-        survivor = ids[ok].min()
-        dup = ok & (ids != survivor)
-        if dup.any():
-            out_ids.append(ids[dup])
-            out_reason.append(
-                np.full(int(dup.sum()), DROP_DUPLICATE, np.int8))
-        if cfg.sample_rates_bp is not None:
-            srow = ok & (ids == survivor)
-            bucket = int(sample_buckets(ids[srow][:1])[0])
-            stratum = g["source"].to_numpy()[srow][0]
-            rate = cfg.sample_rates_bp.get(stratum, cfg.sample_default_bp)
-            if bucket >= rate:
-                out_ids.append(ids[srow])
-                out_reason.append(np.full(1, DROP_SAMPLED_OUT, np.int8))
-    return pd.DataFrame({
-        "doc_id": (np.concatenate(out_ids) if out_ids
-                   else np.zeros(0, np.int64)).astype(np.int64),
-        "drop_reason": (np.concatenate(out_reason) if out_reason
-                        else np.zeros(0, np.int8)),
-    })
+def _changed_decisions(t: pa.Table, cfg: PrepConfig) -> pa.Table:
+    """Two-pass variant: the (doc_id, drop_reason) rows whose reason
+    :func:`_mark_dups` changes (duplicate / sampled-out) — the skinny
+    update table joined back onto the wide rows by doc_id."""
+    marked = _mark_dups(t, cfg)
+    changed = pc.not_equal(marked["drop_reason"], t["drop_reason"])
+    return marked.filter(changed).select(["doc_id", "drop_reason"])
 
 
 def build_prep_pipeline(docs_ds, cfg: Optional[PrepConfig] = None):
@@ -185,13 +158,15 @@ def build_prep_pipeline(docs_ds, cfg: Optional[PrepConfig] = None):
     row; KEEP rows carry the redacted text). Lazy; no driver data.
 
     ``cfg.dedup_two_pass`` picks the dedup shape (see PrepConfig):
-    one-pass = single content-keyed shuffle of full rows (fine while
-    no text_hash group outgrows a worker); two-pass = skinny
-    content-keyed shuffle for the decisions + uniform doc_id-keyed
-    update join of the changed flags onto the wide rows. The flagging
-    map runs twice on the two-pass path (once per lineage branch) —
-    deterministic stateless compute, traded for never shuffling text
-    by a skewed content key."""
+    one-pass = single content-keyed sort of full rows (fine while no
+    text_hash group outgrows a worker); two-pass = skinny content-keyed
+    sort for the decisions + uniform doc_id-keyed update join of the
+    changed flags onto the wide rows. The flagging map runs twice on
+    the two-pass path (once per lineage branch) — deterministic
+    stateless compute, traded for never shuffling text by a skewed
+    content key. Both shapes run :func:`_mark_dups` once per sorted
+    block (``batch_size=None``: a whole sort-reduce block, so no
+    text_hash run is split)."""
     cfg = cfg or PrepConfig()
 
     flagged = docs_ds.map_batches(
@@ -200,16 +175,18 @@ def build_prep_pipeline(docs_ds, cfg: Optional[PrepConfig] = None):
     )
     if not cfg.dedup_two_pass:
         # global exact dedup: the one all-to-all, keyed by 64-bit hash
-        return flagged.groupby("text_hash").map_groups(
-            lambda g: _mark_dups(g, cfg), batch_format="pandas"
+        return flagged.sort("text_hash").map_batches(
+            lambda t: _mark_dups(t, cfg),
+            batch_format="pyarrow", batch_size=None,
         )
 
     from ..stages.joins import apply_keyed_updates
 
     skinny = flagged.select_columns(
         ["doc_id", "text_hash", "drop_reason", "source"])
-    decisions = skinny.groupby("text_hash").map_groups(
-        lambda g: _decisions_from_group(g, cfg), batch_format="pandas"
+    decisions = skinny.sort("text_hash").map_batches(
+        lambda t: _changed_decisions(t, cfg),
+        batch_format="pyarrow", batch_size=None,
     )
     return apply_keyed_updates(flagged, decisions,
                                on="doc_id", col="drop_reason")
@@ -231,8 +208,7 @@ def _prep_write_and_count(t: pa.Table, out_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
 
     reason = t.column("drop_reason")
-    keep = pc.equal(reason, KEEP)
-    kept = t.filter(keep).drop_columns(["drop_reason"])
+    kept = t.filter(pc.equal(reason, KEEP)).drop_columns(["drop_reason"])
     if kept.num_rows:
         i0 = kept.column("doc_id")[0].as_py()
         i1 = kept.column("doc_id")[-1].as_py()
@@ -240,22 +216,18 @@ def _prep_write_and_count(t: pa.Table, out_dir: str) -> pa.Table:
             f"{i0}|{i1}|{kept.num_rows}".encode()).hexdigest()[:20]
         pq.write_table(kept, os.path.join(out_dir, f"part-{key}.parquet"))
 
-    def _n(mask_val):
-        return pc.sum(pc.cast(pc.equal(reason, mask_val),
-                              pa.int64())).as_py() or 0
-
-    return pa.table({
-        "docs_total": pa.array([t.num_rows], pa.int64()),
-        "docs_kept": pa.array([kept.num_rows], pa.int64()),
-        "drop_lowquality": pa.array([_n(DROP_QUALITY)], pa.int64()),
-        "drop_duplicate": pa.array([_n(DROP_DUPLICATE)], pa.int64()),
-        "drop_sampled_out": pa.array([_n(DROP_SAMPLED_OUT)], pa.int64()),
-        "pii_redactions": pa.array(
-            [pc.sum(t.column("pii_hits")).as_py() or 0], pa.int64()),
-        "chars_out": pa.array(
-            [pc.sum(pc.utf8_length(kept.column("text"))).as_py() or 0
-             if kept.num_rows else 0], pa.int64()),
-    })
+    n = np.bincount(reason.to_numpy(), minlength=DROP_SAMPLED_OUT + 1)
+    counts = {
+        "docs_total": t.num_rows, "docs_kept": kept.num_rows,
+        "drop_lowquality": n[DROP_QUALITY],
+        "drop_duplicate": n[DROP_DUPLICATE],
+        "drop_sampled_out": n[DROP_SAMPLED_OUT],
+        "pii_redactions": pc.sum(t.column("pii_hits")).as_py() or 0,
+        "chars_out": pc.sum(
+            pc.utf8_length(kept.column("text"))).as_py() or 0,
+    }
+    return pa.table({k: pa.array([int(v)], pa.int64())
+                     for k, v in counts.items()})
 
 
 def run_prep_pipeline(docs, cfg: Optional[PrepConfig] = None) -> Dict:

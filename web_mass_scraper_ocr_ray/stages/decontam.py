@@ -328,7 +328,7 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
         ids = np.asarray(
             pc.cast(t.column(id_col), pa.int64()).combine_chunks())
         ne = np.asarray(pc.not_equal(flat, ""))
-        lh = fnv64_bulk(flat.filter(pa.array(ne)).to_pylist())
+        lh = fnv64_bulk(flat.filter(pa.array(ne)))
         return pa.table({
             "lh": pa.array(lh.view(np.int64)),
             "doc_id": pa.array(ids[row[ne]], pa.int64()),

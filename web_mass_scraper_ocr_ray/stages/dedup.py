@@ -861,7 +861,8 @@ class SimHasher:
     @staticmethod
     def _fnv64_bulk(tokens: list) -> np.ndarray:
         """Vectorized _fnv64 over a token list (functions/hashing.py:
-        padded-column byte loop, bit-identical to the scalar)."""
+        one byte-position loop over a live-string prefix, bit-identical
+        to the scalar)."""
         from ..functions.hashing import fnv64_bulk
 
         return fnv64_bulk(tokens)

@@ -33,6 +33,21 @@ def sample_buckets(ids: np.ndarray) -> np.ndarray:
     return (h % np.uint64(10000)).astype(np.int64)
 
 
+def lookup_per_row(col, table: Dict, default: int) -> np.ndarray:
+    """Per-row int64 ``table.get(value, default)`` over a column (Arrow
+    array, chunked array, or anything ``pa.array`` takes) with ONE dict
+    lookup per unique value (Arrow ``dictionary_encode``) — strata and
+    group cardinalities are small. A null value looks up ``None``."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    elif not isinstance(col, pa.Array):
+        col = pa.array(col)
+    enc = pc.dictionary_encode(col)
+    uniq = enc.dictionary.to_pylist() + [None]
+    per_uniq = np.array([table.get(u, default) for u in uniq], np.int64)
+    return per_uniq[pc.fill_null(enc.indices, len(uniq) - 1).to_numpy()]
+
+
 def stratified_sample(ds, id_col: str, strata_col: str,
                       rates_bp: Dict[str, int], default_bp: int = 0):
     """Keep each row with its stratum's deterministic rate (basis
@@ -40,17 +55,9 @@ def stratified_sample(ds, id_col: str, strata_col: str,
     closure (no shuffle; the strata table never moves)."""
 
     def _keep(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ids = np.asarray(pc.cast(t.column(id_col), pa.int64()))
-        buckets = sample_buckets(ids)
-        strata = t.column(strata_col).to_numpy(zero_copy_only=False)
-        # rate lookup per UNIQUE stratum (strata cardinality is small)
-        codes, uniq = pd.factorize(strata)
-        per_uniq = np.array(
-            [rates_bp.get(u, default_bp) for u in uniq], dtype=np.int64)
-        limits = per_uniq[codes]
-        return t.filter(pa.array(buckets < limits))
+        limits = lookup_per_row(t.column(strata_col), rates_bp, default_bp)
+        return t.filter(pa.array(sample_buckets(ids) < limits))
 
     return ds.map_batches(_keep, batch_format="pyarrow")
 
@@ -106,17 +113,11 @@ def upsample_by_group(ds, group_col: str,
     """
 
     def _rep(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         n = t.num_rows
         if n == 0:
             return t.append_column("copy_idx",
                                    pa.array([], pa.int64()))
-        grp = t.column(group_col).to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(grp)
-        per_uniq = np.array([factors.get(u, default) for u in uniq],
-                            dtype=np.int64)
-        reps = per_uniq[codes]
+        reps = lookup_per_row(t.column(group_col), factors, default)
         idx = np.repeat(np.arange(n, dtype=np.int64), reps)
         total = len(idx)
         starts = np.zeros(n, dtype=np.int64)
