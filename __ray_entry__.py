@@ -913,30 +913,6 @@ SELECT event_type,
   TRUE AS hll_within_5pct
 FROM events GROUP BY event_type
 """,
-        # greedy-earliest ordered funnel, strict > between steps
-        "events_funnel": """
-WITH u AS (SELECT DISTINCT user_id FROM events),
-s1 AS (SELECT user_id, min(ts) AS t1 FROM events
-       WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(e.ts) AS t2 FROM events e
-       JOIN s1 ON e.user_id = s1.user_id
-       WHERE e.event_type = 'click' AND e.ts > s1.t1
-       GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(e.ts) AS t3 FROM events e
-       JOIN s2 ON e.user_id = s2.user_id
-       WHERE e.event_type = 'purchase' AND e.ts > s2.t2
-       GROUP BY e.user_id)
-SELECT u.user_id,
-  CAST(CASE WHEN s1.t1 IS NULL THEN 0 ELSE 1 END
-     + CASE WHEN s2.t2 IS NULL THEN 0 ELSE 1 END
-     + CASE WHEN s3.t3 IS NULL THEN 0 ELSE 1 END AS BIGINT)
-    AS steps_completed,
-  CAST(CASE WHEN s3.t3 IS NULL THEN 0 ELSE 1 END AS BIGINT) AS matched
-FROM u
-LEFT JOIN s1 USING (user_id)
-LEFT JOIN s2 USING (user_id)
-LEFT JOIN s3 USING (user_id)
-""",
         # same regex as the Arrow kernel — extraction semantics pinned
         "events_json_extract": r"""
 SELECT event_type,

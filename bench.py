@@ -7,8 +7,9 @@ Prints ONE JSON line:
    "docs_per_sec": ...}
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS
-(default 32), GRAFT_BENCH_REPLICATION (default 40 → ~200k pages at
-sf0.1).
+(default: this machine's CPU count), GRAFT_BENCH_REPLICATION (default
+40 → ~200k pages at sf0.1). The query sweep times every registered
+query (``sorted(QUERIES)``); GRAFT_SKIP_QUERIES=1 skips it.
 
 --scaling: run the headline pipeline in two FRESH processes at
 num_cpus=8 and num_cpus=32 on the same input and report both
@@ -34,7 +35,7 @@ def _env_int(name: str, default: int) -> int:
 
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = _env_int("RAY_GRAFT_CPUS", 32)
+NUM_CPUS = _env_int("RAY_GRAFT_CPUS", os.cpu_count() or 1)
 REPLICATION = _env_int("GRAFT_BENCH_REPLICATION", 40)
 # Bench I/O lives on tmpfs when available: a single VM disk caps at
 # ~120 MB/s regardless of CPU count, which would measure the disk, not
@@ -108,195 +109,8 @@ def run_bench() -> dict:
 
     # ---- per-query timings on the un-replicated sf tables
     query_times = {}
-    query_names = () if os.environ.get("GRAFT_SKIP_QUERIES") else (
-        "extract_text",
-        "hostname_rollup",
-        "dedup_exact_docs",
-        "dedup_minhash",
-        "dedup_simhash",
-        "knn_bruteforce",
-        "embedding_neardup",
-        "doc_quality",
-        "events_tumbling",
-        "events_sessionize",
-        "knn_ivf",
-        "knn_lsh",
-        "dedup_clusters",
-        "approx_distinct_urls",
-        "dedup_ngram_jaccard",
-        "embedding_neardup_lsh",
-        "multimodal_decode",
-        "doc_fingerprint",
-        "salted_rollup",
-        "events_asof_join",
-        "events_range_count",
-        "events_cumulative",
-        "doc_pii_scrub",
-        "doc_repetition",
-        "vocab_topk",
-        "doc_length_quantiles",
-        "doc_sample_stratified",
-        "doc_corpus_freq",
-        "corpus_prep",
-        "token_search",
-        "main_content",
-        "dom_block_stats",
-        "doc_boilerplate",
-        "doc_decontaminate",
-        "dedup_spans",
-        "dedup_incremental",
-        "doc_tfidf",
-        "dedup_spans_strip",
-        "dedup_spans_keepone",
-        "doc_length_quantiles_sketch",
-        "doc_clusters_kmeans",
-        "semantic_dedup",
-        "corpus_prep_twopass",
-        "resume_filter_large",
-        "resume_filter_bloom",
-        "doc_cap_per_source",
-        "doc_dedup_lines",
-        "doc_mixture_upsample",
-        "doc_shard_for_training",
-        "order_customer_join_large",
-        "doc_length_quantiles_by_source",
-        "vocab_topk_sketch",
-        "doc_quality_model",
-        "dedup_canonical_urls",
-        "events_hourly_distinct",
-        "image_dedup_phash",
-        "embedding_centroids",
-        "events_json_extract",
-        "events_funnel",
-        "events_moving_window",
-        "events_distinct_by_type",
-        "resume_committed",
-        "doc_length_percentile",
-        "doc_rebalance_by_size",
-        "events_latest_per_user",
-        "doc_split_assign",
-        "doc_pack_sequences",
-        "doc_oov_rate",
-        "doc_chunk_windows",
-        "source_lang_diversity",
-        "outlinks_enum",
-        "host_link_graph",
-        "pagerank_hosts",
-        "pages_latest_snapshot",
-        "domain_quality_filter",
-        "doc_sample_bottomk",
-        "doc_sample_weighted",
-        "events_state_compaction",
-        "url_blocklist",
-        "doc_inverted_index",
-        "host_frontier_2hop",
-        "host_components",
-        "anchor_text_rollup",
-        "fetch_waves",
-        "pages_content_delta",
-        "dedup_keep_best",
-        "events_topk_per_window",
-        "host_degree_stats",
-        "crawl_trap_hosts",
-        "doc_sentence_stats",
-        "events_value_tiers",
-        "outlinks_robots_gate",
-        "corpus_char_freq",
-        "source_token_budget",
-        "doc_embedding_join",
-        "host_triangles",
-        "token_cooccurrence",
-        "events_retention_cohorts",
-        "vocab_bigrams_topk",
-        "langid_confusion",
-        "doc_dup_ratio_by_source",
-        "set_similarity_join",
-        "vocab_editdist_pairs",
-        "events_value_trend",
-        "events_transitions",
-        "source_lang_rollup",
-        "corpus_diff_ranges",
-        "doc_containment",
-        "doc_quality_tiers",
-        "doc_winnow",
-        "vocab_heavy_hitters",
-        "source_lang_pivot",
-        "corpus_diff_rows",
-        "doc_novelty",
-        "events_dedup_burst",
-        "events_profile",
-        "doc_skyline",
-        "host_cocitation",
-        "doc_quality_tiers_by_source",
-        "events_cube",
-        "events_outliers",
-        "region_supplier_revenue",
-        "embedding_quantize",
-        "doc_tier_sample",
-        "dedup_winnow_pairs",
-        "events_late",
-        "events_winsorize",
-        "events_ab_test",
-        "events_trigrams",
-        "doc_profile",
-        "host_graph_delta",
-        "events_mad_outliers",
-        "orders_priority_report",
-        "promo_revenue_share",
-        # round-4 additions
-        "doc_gopher_rules",
-        "doc_c4_filters",
-        "doc_c4_clean",
-        "doc_dsir",
-        "training_corpus_funnel",
-        "doc_bigram_rarity",
-        "image_phash_dct",
-        "audio_features",
-        "shipping_priority",
-        "large_orders",
-        "returned_item_revenue",
-        "disjunctive_part_revenue",
-        "idle_rich_customers",
-        "customer_order_distribution",
-        "top_supplier",
-        "small_qty_revenue",
-        "priority_shipmix",
-        "nation_trade_volume",
-        "nation_market_share",
-        "bpe_pair_counts",
-        "vocab_coverage",
-        "source_trigram_diversity",
-        "orders_running_total",
-        "events_key_skew",
-        "host_hits",
-        "doc_cdc_dedup",
-        "host_crawl_budget",
-        "host_kcore",
-        "forecast_revenue",
-        "customer_order_outer",
-        "doc_sample_per_source",
-        "docs_schema_audit",
-        "source_length_ks",
-        "host_mutual_links",
-        "url_path_templates",
-        "host_churn",
-        "doc_rank_prior",
-        "events_window_pairs",
-        "image_resize",
-        "events_zorder",
-        "events_funnel",
-        "pages_scd2",
-        "doc_topk_diverse",
-        "doc_term_blocklist",
-        "zorder_prune_stats",
-        "video_frames_exploded",
-        "jsonl_roundtrip",
-        "partitioned_sink_prune",
-        "events_attribution",
-        "source_contamination",
-        "pipeline_stage_report",
-        "events_gap_stats",
-    )
+    query_names = () if os.environ.get("GRAFT_SKIP_QUERIES") else sorted(
+        QUERIES)
     for name in query_names:
         t0 = time.monotonic()
         res = QUERIES[name](SF_DIR)

@@ -345,6 +345,72 @@ class TestClustering:
                      b_tbl.column("cluster_id").to_pylist()))
         assert a == b
 
+    def _lp_vs_driver(self, edges, **kw):
+        import ray.data as rd
+
+        from web_mass_scraper_ocr_ray.stages.dedup import (
+            cluster_pairs_driver,
+            cluster_pairs_label_propagation,
+        )
+
+        a = cluster_pairs_driver(rd.from_arrow(self._pairs(edges)))
+        b = cluster_pairs_label_propagation(
+            rd.from_arrow(self._pairs(edges)), **kw)
+        assert b.schema.field("doc_id").type == pa.int64()
+        assert b.schema.field("cluster_id").type == pa.int64()
+        return (dict(zip(a.column("doc_id").to_pylist(),
+                         a.column("cluster_id").to_pylist())),
+                dict(zip(b.column("doc_id").to_pylist(),
+                         b.column("cluster_id").to_pylist())))
+
+    def test_label_propagation_ids_above_2_53(self, ray_session):
+        """Labels stay int64 end to end: ids past float64's exact range
+        (2^53) come back as themselves, not as their float neighbors."""
+        big = 2 ** 53
+        a, b = self._lp_vs_driver([(big + 1, big + 3), (big + 3, big + 5),
+                                   (7, big + 7)])
+        assert a == b
+        assert b[big + 5] == big + 1 and b[big + 7] == 7
+
+    def test_label_propagation_empty_pairs(self, ray_session):
+        """No pairs → an empty, typed (doc_id, cluster_id) table."""
+        a, b = self._lp_vs_driver([])
+        assert a == b == {}
+
+    def test_label_propagation_log_rounds_on_int_path(self, ray_session):
+        """Pointer jumping on the int path too: a 128-node path
+        (diameter 127) converges within 9 strict rounds."""
+        n = 128
+        a, b = self._lp_vs_driver([(i, i + 1) for i in range(n - 1)],
+                                  max_rounds=9)
+        assert a == b
+        assert len(b) == n and set(b.values()) == {0}
+
+    def test_components_random_graphs_int_and_string(self, ray_session):
+        """Random graphs (one per block of 8 node ids, so diameters and
+        round counts stay small) with self-loops and duplicate edges,
+        run with int keys and with the same graph as (order-preserving)
+        strings: both agree with the driver union-find."""
+        import random
+
+        import ray.data as rd
+
+        from web_mass_scraper_ocr_ray.stages import linkgraph as lg
+
+        rng = random.Random(11)
+        edges = [(8 * g + rng.randrange(8), 8 * g + rng.randrange(8))
+                 for g in range(6) for _ in range(6)]
+        edges += [(5, 5), (61, 61)] + edges[:6]
+        a, b = self._lp_vs_driver(edges)
+        assert a == b
+        assert len(set(a.values())) > 1
+        hosts = lg.graph_components(rd.from_arrow(pa.table({
+            "src_host": [f"{x:03d}" for x, _ in edges],
+            "dst_host": [f"{y:03d}" for _, y in edges],
+        }))).to_pandas()
+        assert {int(h): int(c) for h, c in
+                zip(hosts.host, hosts.component)} == a
+
     def test_clusters_on_neardup_corpus(self, ray_session):
         from web_mass_scraper_ocr_ray.pipelines.queries import q_dedup_clusters
 

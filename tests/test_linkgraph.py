@@ -245,6 +245,21 @@ class TestGraphComponents:
         assert len(out) == n
         assert set(out.component) == {"000"}
 
+    def test_empty_edge_set(self, ray_session):
+        """No edges → an empty, typed (host, component) result."""
+        import ray.data as rd
+        from web_mass_scraper_ocr_ray.stages import linkgraph as lg
+
+        edges = rd.from_arrow(pa.table({
+            "src_host": pa.array([], pa.string()),
+            "dst_host": pa.array([], pa.string()),
+        }))
+        out = lg.graph_components(edges)
+        assert out.count() == 0
+        schema = out.schema()
+        assert list(schema.names) == ["host", "component"]
+        assert list(schema.types) == [pa.string(), pa.string()]
+
 
 class TestAnchorText:
     def test_extract_anchor_text(self):

@@ -94,3 +94,45 @@ def test_entry_smoke(ray_session):
     ds = entrymod.entry()
     assert ds.count() == 500
     assert "text" in ds.schema().names
+
+
+def _dict_literal_keys(tree, name):
+    """Keys of the dict literal assigned to ``name`` at module level, or
+    returned by the module-level function ``name``."""
+    import ast
+
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(getattr(t, "id", None) == name for t in targets):
+                return [k.value for k in node.value.keys]
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Return) and isinstance(
+                        sub.value, ast.Dict):
+                    return [k.value for k in sub.value.keys]
+    raise AssertionError(f"no dict literal for {name}")
+
+
+def test_registry_has_no_duplicates():
+    """A repeated ``def q_*`` or registry key silently shadows the
+    earlier one (only the last is live) — the registry, the query
+    module and the oracle dict must each name every query once."""
+    import ast
+    import collections
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    qsrc = ast.parse(
+        (root / "web_mass_scraper_ocr_ray/pipelines/queries.py").read_text())
+    esrc = ast.parse((root / "__ray_entry__.py").read_text())
+    defs = [n.name for n in qsrc.body
+            if isinstance(n, ast.FunctionDef) and n.name.startswith("q_")]
+    for what, names in (
+        ("def q_*", defs),
+        ("QUERIES key", _dict_literal_keys(qsrc, "QUERIES")),
+        ("oracle_sql() key", _dict_literal_keys(esrc, "oracle_sql")),
+    ):
+        dups = [k for k, n in collections.Counter(names).items() if n > 1]
+        assert not dups, f"duplicate {what}: {dups}"

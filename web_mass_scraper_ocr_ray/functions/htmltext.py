@@ -341,10 +341,6 @@ def hidden_classes_from_html(s: str) -> frozenset:
     return hidden_rules_from_html(s).simple_classes
 
 
-def _class_hit(value: Optional[str], hidden_classes: frozenset) -> bool:
-    return bool(value) and not hidden_classes.isdisjoint(value.split())
-
-
 @dataclass
 class Span:
     start: int

@@ -267,20 +267,10 @@ def hostname_rollup(ds):
     )
 
 
-STATS_COLUMNS = ["status", *sorted(set(_SUM_COLS.values()))]
-
 # Guards lazy, non-thread-safe dataset construction (see _run_group).
 import threading
 
 _DS_BUILD_LOCK = threading.Lock()
-
-
-def _group_stats_dataset(group_dir: str):
-    """Counter-columns-only read of one commit group's written output —
-    the heavy text/spans/images columns stay on disk (~10% scan)."""
-    import ray.data as rd
-
-    return rd.read_parquet(group_dir, columns=STATS_COLUMNS)
 
 
 def run_pipeline(pages, cfg: Optional[PipelineConfig] = None) -> Dict:

@@ -1706,47 +1706,6 @@ def q_events_distinct_by_type(sf_dir: str):
     })
 
 
-FUNNEL_STEPS = ("view", "click", "purchase")
-
-
-def q_events_funnel(sf_dir: str):
-    """Ordered-funnel match per user (view → click → purchase with
-    strictly increasing timestamps, greedy-earliest — correct for
-    existence): the sequential-pattern operator of event analytics.
-    One shuffle keyed by user; inside each group the chain is three
-    ``searchsorted`` steps over per-type sorted timestamps, no Python
-    over events. → (user_id, steps_completed, matched)."""
-    import pandas as pd
-    import ray.data as rd
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
-
-    def _funnel(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        uid = int(g["user_id"].iloc[0])
-        ts = g["ts"].astype("int64").to_numpy()
-        et = g["event_type"].to_numpy()
-        cur = -np.inf
-        steps = 0
-        for step in FUNNEL_STEPS:
-            sts = np.sort(ts[et == step])
-            i = np.searchsorted(sts, cur, side="right")
-            if i >= len(sts):
-                break
-            cur = sts[i]
-            steps += 1
-        return pd.DataFrame({
-            "user_id": [uid],
-            "steps_completed": np.array([steps], np.int64),
-            "matched": np.array([steps == len(FUNNEL_STEPS)], np.int64),
-        })
-
-    return ev.groupby("user_id").map_groups(
-        _funnel, batch_format="pandas")
-
-
 def q_events_json_extract(sf_dir: str):
     """JSON scalar extraction in the hot path done vectorized: the
     flat props field is pulled with ONE Arrow RE2 kernel per batch
@@ -3054,9 +3013,10 @@ def q_anchor_text_rollup(sf_dir: str):
 
 def q_host_components(sf_dir: str):
     """Connected components of the (undirected) host graph restricted
-    to same-parity host numbers — min-label propagation with a
-    changed-count convergence witness; 2+ components by construction
-    (stages/linkgraph.graph_components)."""
+    to same-parity host numbers — min-label propagation with pointer
+    jumping and a changed-count convergence witness; 2+ components by
+    construction (stages/linkgraph.graph_components →
+    stages/components.connected_components)."""
     import re
 
     from ..sources.pages import synth_link_pages_dataset
@@ -6450,7 +6410,6 @@ QUERIES: Dict[str, callable] = {
     "events_tumbling": q_events_tumbling,
     "events_hourly_distinct": q_events_hourly_distinct,
     "events_json_extract": q_events_json_extract,
-    "events_funnel": q_events_funnel,
     "events_distinct_by_type": q_events_distinct_by_type,
     "events_moving_window": q_events_moving_window,
     "events_sliding": q_events_sliding,

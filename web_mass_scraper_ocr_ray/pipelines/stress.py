@@ -135,7 +135,10 @@ def _ensure_sf_layout(out_dir: str, sf_dir: str, k: int) -> None:
         write_stress_events(sf_dir, out_dir, k)
     link = f"{out_dir}/documents.parquet"
     if not os.path.exists(link):
-        os.symlink(f"{out_dir}/documents", link)
+        try:
+            os.symlink(f"{out_dir}/documents", link)
+        except FileExistsError:
+            pass  # a concurrent sweep made it between the check and here
 
 
 def _stress_docs(out_dir: str, columns=None):

@@ -1032,8 +1032,11 @@ def cluster_pairs_driver(pairs) -> "pa.Table":
     for b in rows.iter_batches(batch_format="pyarrow", batch_size=65536):
         for a_, b_ in zip(b.column("doc_a").to_pylist(),
                           b.column("doc_b").to_pylist()):
+            # every pair end is a node, a self-pair's too
+            parent.setdefault(a_, a_)
+            parent.setdefault(b_, b_)
             union(a_, b_)
-    nodes = sorted(set(parent) | {find(x) for x in parent})
+    nodes = sorted(parent)
     return pa.table({
         "doc_id": pa.array(nodes, pa.int64()),
         "cluster_id": pa.array([find(n) for n in nodes], pa.int64()),
@@ -1041,184 +1044,30 @@ def cluster_pairs_driver(pairs) -> "pa.Table":
 
 
 def cluster_pairs_label_propagation(pairs, max_rounds: int = 10,
-                                    num_partitions: int = 0,
                                     strict: bool = True,
                                     as_dataset: bool = False):
-    """Distributed alternative: iterative min-label propagation —
-    each round every node adopts the min label among itself and its
-    neighbors. Converges in O(component diameter) rounds; this is the
-    cluster-scale path when the pair set cannot sit on the driver.
-
-    Fully shuffle-based, no hash-join operator (the join pins one
-    aggregator actor per partition — measured seconds of pure setup
-    per round on small clusters): per round, the (static, materialized)
-    symmetric edge list and the current label table are co-partitioned
-    by ``node % n_coarse`` in ONE groupby shuffle that attaches each
-    node's label to its outgoing edges, then a second groupby shuffle
-    takes the per-node min. The per-bucket pandas min is globally exact
-    because the coarse key partitions nodes disjointly. Labels never
-    touch the driver — convergence is detected by a scalar aggregate:
-    per-node labels are monotonically non-increasing (the min always
-    includes the node's own label), so sum(label) strictly decreases
-    every non-converged round and is a fixed-point witness when equal.
-
-    ``strict=True`` raises if ``max_rounds`` rounds pass without
-    reaching the fixed point (a silent exit would return wrong cluster
-    ids for any component whose diameter exceeds the budget);
-    ``strict=False`` returns the partial labels for callers that
-    checkpoint-and-continue.
-
-    ``num_partitions`` is kept for API compatibility; the coarse-
-    bucket shuffle sizes itself (N_COARSE_BUCKETS buckets).
+    """Distributed alternative: connected components by min-label
+    propagation with pointer jumping
+    (`stages/components.connected_components` over doc_a/doc_b, doc
+    ids exact at any int64 value) — the cluster-scale path when the
+    pair set cannot sit on the driver. ``strict`` as there.
 
     Returns the same (doc_id, cluster_id) table as the driver variant
-    (asserted equal in tests)."""
-    import pandas as pd
+    (asserted equal in tests), sorted by doc_id; ``as_dataset=True``
+    keeps the labels distributed (write or join downstream)."""
+    from .components import connected_components
 
-    n_coarse = N_COARSE_BUCKETS
-
-    def _coarse(arr: pa.ChunkedArray) -> pa.Array:
-        return pc.cast(
-            pc.bit_wise_and(pc.cast(arr, pa.uint64()),
-                            pa.scalar(n_coarse - 1, pa.uint64())),
-            pa.int32(),
-        )
-
-    def _sym(t: pa.Table) -> pa.Table:
-        # symmetric closure: each edge propagates labels both ways;
-        # coarse is keyed by src (where the label will be looked up)
-        a = t.column("doc_a").combine_chunks().cast(pa.int64())
-        b = t.column("doc_b").combine_chunks().cast(pa.int64())
-        src = pa.concat_arrays([a, b])
-        dst = pa.concat_arrays([b, a])
-        return pa.table({
-            "key": src,
-            "dst": dst,
-            "label": pa.nulls(len(src), pa.int64()),
-            "coarse": _coarse(pa.chunked_array([src])),
-        })
-
-    edges = pairs.select_columns(["doc_a", "doc_b"]).map_batches(
-        _sym, batch_format="pyarrow"
-    ).materialize()
-
-    def _label_rows(t: pa.Table) -> pa.Table:
-        node = t.column("node").cast(pa.int64())
-        return pa.table({
-            "key": node,
-            "dst": pa.nulls(t.num_rows, pa.int64()),
-            "label": t.column("label").cast(pa.int64()),
-            "coarse": _coarse(node),
-        })
-
-    _empty_labels = pd.DataFrame({
-        "node": pd.Series([], dtype="int64"),
-        "label": pd.Series([], dtype="int64"),
-    })
-
-    def _bucket_min(df):
-        # exact global per-node min: the coarse key partitions nodes
-        # disjointly, so every row for a node is in this bucket
-        if len(df) == 0:
-            return _empty_labels
-        g = df.groupby("node", sort=False)["label"].min().reset_index()
-        return g.astype({"node": "int64", "label": "int64"})
-
-    # round 0: label(node) = min(node, neighbors) — one bucket shuffle
-    # keyed by dst (each edge votes min(src, dst) onto dst, and the
-    # symmetric closure guarantees the self edge's mirror covers src)
-    def _initial_votes(t: pa.Table) -> pa.Table:
-        dst = t.column("dst").combine_chunks()
-        lab = pc.min_element_wise(t.column("key"), t.column("dst"))
-        return pa.table({
-            "node": dst,
-            "label": lab,
-            "coarse": _coarse(dst),
-        })
-
-    # bound the per-round label table to a fixed block count: a sort's
-    # output inherits its input block count, so without the cap labels
-    # gain the edge table's block count EVERY round and the all-to-all
-    # cost compounds (the graph_components 10×-stress lesson —
-    # stages/linkgraph.py `_mat_small`)
-    labels = edges.map_batches(
-        _initial_votes, batch_format="pyarrow"
-    ).groupby("coarse").map_groups(
-        _bucket_min, batch_format="pandas"
-    ).repartition(16).materialize()
-    prev_sum = labels.sum("label")
-
-    def _propagate(df):
-        # one coarse bucket of edges(key=src) ∪ labels(key=node): send
-        # each node's current label to its neighbors, and keep the self
-        # label in play so per-node labels never increase
-        is_lab = df["dst"].isna().to_numpy()
-        lab = df[is_lab]
-        edg = df[~is_lab]
-        if len(lab) == 0:
-            return _empty_labels
-        lookup = pd.Series(lab["label"].to_numpy(),
-                           index=lab["key"].to_numpy())
-        node = np.concatenate([
-            edg["dst"].to_numpy(dtype="int64", na_value=0),
-            lab["key"].to_numpy(dtype="int64"),
-        ])
-        label = np.concatenate([
-            lookup.reindex(edg["key"].to_numpy()).to_numpy(),
-            lab["label"].to_numpy(dtype="float64"),
-        ])
-        out = pd.DataFrame({"node": node, "label": label})
-        # a src with edges but (impossibly) no label row would be NaN
-        out = out[out["label"].notna()]
-        # label rides through float64 (pandas null carrier) — exact for
-        # ids < 2^53; hash-derived full-64-bit ids would need the Int64
-        # extension dtype here
-        return out.astype({"node": "int64", "label": "int64"})
-
-    converged = False
-    for _ in range(max_rounds):
-        votes = edges.union(
-            labels.map_batches(_label_rows, batch_format="pyarrow")
-        ).groupby("coarse").map_groups(
-            _propagate, batch_format="pandas"
-        ).map_batches(
-            lambda t: t.append_column(
-                "coarse", _coarse(t.column("node").combine_chunks())
-            ),
-            batch_format="pyarrow",
-        )
-        new_labels = votes.groupby("coarse").map_groups(
-            _bucket_min, batch_format="pandas"
-        ).repartition(16).materialize()
-        new_sum = new_labels.sum("label")
-        labels = new_labels
-        if new_sum == prev_sum:
-            converged = True
-            break
-        prev_sum = new_sum
-    if not converged and strict:
-        raise RuntimeError(
-            f"label propagation did not converge in {max_rounds} rounds "
-            "(a component's diameter exceeds the budget); raise "
-            "max_rounds or pass strict=False for partial labels"
-        )
-
-    # rename via map_batches (not rename_columns: the Project operator
-    # can't process the pandas-formatted blocks map_groups emits), and
-    # pin the Arrow schema for downstream consumers
-    labels = labels.map_batches(
-        lambda t: pa.table({
-            "doc_id": t.column("node").cast(pa.int64()),
-            "cluster_id": t.column("label").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    labels = connected_components(
+        pairs, "doc_a", "doc_b", max_rounds=max_rounds, strict=strict,
+        names=("doc_id", "cluster_id"))
     if as_dataset:
-        # cluster-scale callers keep the labels distributed (write or
-        # join downstream); only the pa.Table compat path materializes
         return labels
-    out = labels.to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    import ray
+
+    # skip the column-less empty blocks a repartition leaves
+    return pa.concat_tables([
+        t for t in ray.get(labels.to_arrow_refs()) if t.num_columns
+    ]).sort_by("doc_id")
 
 
 def keep_best_per_group(ds, group_col: str, sort_keys,

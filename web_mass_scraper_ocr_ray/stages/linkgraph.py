@@ -25,7 +25,6 @@ quality priors for corpus filtering).
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -302,248 +301,16 @@ def host_frontier(edges_ds, seed_hosts, max_hops: int = 2,
 def graph_components(edges_ds, src_col: str = "src_host",
                      dst_col: str = "dst_host", max_rounds: int = 10,
                      strict: bool = True):
-    """Connected components of an UNDIRECTED graph over string node
-    keys → (host, component) where component = the MIN node key in the
-    component (deterministic, key-type-agnostic).
+    """Connected components of the UNDIRECTED host graph → (host,
+    component), component = the MIN host key in the component
+    (deterministic). Min-label propagation with pointer jumping, so
+    O(log diameter) rounds — `stages/components.connected_components`
+    over (src_col, dst_col); ``strict`` as there."""
+    from .components import connected_components
 
-    Iterative min-label propagation WITH pointer jumping (label
-    doubling — the hash-to-min idea from Rastogi et al., "Finding
-    Connected Components in MapReduce"), the generic sibling of
-    `stages/dedup.cluster_pairs_label_propagation` (int doc ids, sum
-    witness) for arbitrary string nodes: per round the symmetric edge
-    list is co-partitioned with the label table by a hash bucket of
-    the node key (partitioning only — never in results) and each node
-    adopts the min label among itself and its neighbors; then a
-    second co-partition exchange resolves label(label(v)) for every
-    node (pointer jump), so label paths HALVE each round and the
-    round count is O(log diameter) instead of O(diameter) — the r4
-    verdict #5 fix for the 200 s 10×-stress reading. Labels are
-    monotone non-increasing under both steps, so an unchanged round
-    certifies the fixed point exactly as before. Convergence is
-    witnessed by an exact changed-label count (labels are strings, so
-    the integer-sum witness doesn't apply; the count is one more
-    grouped aggregate over the O(#nodes) label table).
-    ``strict=True`` raises when ``max_rounds`` pass without the fixed
-    point — a silent exit would return wrong components for any
-    component whose diameter exceeds the budget.
-    """
-    import pandas as pd
-
-    from ..functions.hashing import fnv64_bulk
-
-    n_coarse = 64
-
-    def _bucket(arr) -> pa.Array:
-        # vectorized fnv64 over the key strings (was a per-row
-        # zlib.crc32 Python loop)
-        hs = fnv64_bulk(arr.to_pylist())
-        return pa.array(
-            ((hs >> np.uint64(32)) % np.uint64(n_coarse)).astype(
-                np.int32))
-
-    def _sym(t: pa.Table) -> pa.Table:
-        a = pc.cast(t.column(src_col), pa.string()).combine_chunks()
-        b = pc.cast(t.column(dst_col), pa.string()).combine_chunks()
-        src = pa.chunked_array([a, b]).combine_chunks()
-        dst = pa.chunked_array([b, a]).combine_chunks()
-        return pa.table({
-            "key": src,
-            "dst": dst,
-            "label": pa.nulls(len(src), pa.string()),
-            "coarse": _bucket(src),
-        })
-
-    edges = edges_ds.select_columns([src_col, dst_col]).map_batches(
-        _sym, batch_format="pyarrow").materialize()
-
-    _empty = pd.DataFrame({
-        "node": pd.Series([], dtype="object"),
-        "label": pd.Series([], dtype="object"),
-    })
-
-    def _bucket_min(df):
-        if len(df) == 0:
-            return _empty
-        return df.groupby("node", sort=False)["label"].min().reset_index()
-
-    def _initial(t: pa.Table) -> pa.Table:
-        dst = t.column("dst").combine_chunks()
-        lab = pc.min_element_wise(t.column("key"), t.column("dst"))
-        return pa.table({
-            "node": dst, "label": lab, "coarse": _bucket(dst),
-        })
-
-    # The label table is O(#nodes) — bound every per-round
-    # materialization to a FIXED block count. Without this, each
-    # sort's output inherits its (union-grown) input block count, so
-    # blocks — and all-to-all sort cost — compound ~3× per round
-    # (measured 11 s → 54 s → 311 s over three rounds at the 10×
-    # stress before the cap; constant ~10 s/round after).
-    def _mat_small(ds):
-        return ds.repartition(16).materialize()
-
-    labels = _mat_small(edges.map_batches(
-        _initial, batch_format="pyarrow"
-    ).groupby("coarse").map_groups(
-        _bucket_min, batch_format="pandas"))
-
-    def _label_rows(t: pa.Table) -> pa.Table:
-        node = t.column("node").combine_chunks()
-        return pa.table({
-            "key": node,
-            "dst": pa.nulls(t.num_rows, pa.string()),
-            "label": pc.cast(t.column("label"), pa.string()),
-            "coarse": _bucket(node),
-        })
-
-    def _votes(df):
-        # rows with null dst carry the node's current label; edge rows
-        # look it up and vote it onto their dst (plus keep it on key)
-        if len(df) == 0:
-            return _empty
-        own = df[df.dst.isna()]
-        lab = dict(zip(own.key, own.label))
-        edge = df[df.dst.notna()]
-        out = pd.DataFrame({
-            "node": pd.concat([edge.dst, own.key], ignore_index=True),
-            "label": pd.concat(
-                [edge.key.map(lab), own.label], ignore_index=True),
-        })
-        return out.groupby("node", sort=False)["label"].min().reset_index()
-
-    for _round in range(max_rounds):
-        _t0 = time.perf_counter()
-        votes = edges.union(
-            labels.map_batches(_label_rows, batch_format="pyarrow")
-        ).groupby("coarse").map_groups(_votes, batch_format="pandas")
-
-        def _rebucket(t: pa.Table) -> pa.Table:
-            node = t.column("node").combine_chunks()
-            return pa.table({
-                "node": node,
-                "label": t.column("label"),
-                "coarse": _bucket(node),
-            })
-
-        nxt = _mat_small(votes.map_batches(
-            _rebucket, batch_format="pyarrow"
-        ).groupby("coarse").map_groups(
-            _bucket_min, batch_format="pandas"))
-
-        # pointer jump: label(v) ← label(label(v)). One co-partition
-        # exchange keyed by the LABEL string: request rows (key =
-        # v's label, asker = v) meet own-label rows (key = node,
-        # own = node's label); every label IS a node key, so the
-        # lookup always resolves. Label paths halve each round.
-        def _jump_req(t: pa.Table) -> pa.Table:
-            lab = pc.cast(t.column("label"), pa.string()).combine_chunks()
-            return pa.table({
-                "key": lab,
-                "asker": pc.cast(t.column("node"),
-                                 pa.string()).combine_chunks(),
-                "own": pa.nulls(t.num_rows, pa.string()),
-                "coarse": _bucket(lab),
-            })
-
-        def _jump_own(t: pa.Table) -> pa.Table:
-            node = pc.cast(t.column("node"),
-                           pa.string()).combine_chunks()
-            return pa.table({
-                "key": node,
-                "asker": pa.nulls(t.num_rows, pa.string()),
-                "own": pc.cast(t.column("label"), pa.string()),
-                "coarse": _bucket(node),
-            })
-
-        def _jump_resolve(g: pa.Table) -> pa.Table:
-            own_mask = np.asarray(
-                pc.is_null(g.column("asker")).combine_chunks())
-            keys = np.asarray(g.column("key").to_pylist(), object)
-            lut_k = keys[own_mask]
-            lut_v = np.asarray(g.column("own").to_pylist(),
-                               object)[own_mask]
-            order = np.argsort(lut_k)
-            lut_k, lut_v = lut_k[order], lut_v[order]
-            rq = np.flatnonzero(~own_mask)
-            if len(rq) == 0 or len(lut_k) == 0:
-                return pa.table({
-                    "node": pa.array([], pa.string()),
-                    "label": pa.array([], pa.string()),
-                })
-            idx = np.searchsorted(lut_k, keys[rq])
-            idx = np.minimum(idx, len(lut_k) - 1)
-            if not (lut_k[idx] == keys[rq]).all():
-                raise RuntimeError(
-                    "graph_components: a label is not a known node")
-            askers = np.asarray(g.column("asker").to_pylist(),
-                                object)[rq]
-            return pa.table({
-                "node": pa.array(askers.tolist(), pa.string()),
-                "label": pa.array(lut_v[idx].tolist(), pa.string()),
-            })
-
-        nxt = _mat_small(
-            nxt.map_batches(_jump_req, batch_format="pyarrow")
-            .union(nxt.map_batches(_jump_own, batch_format="pyarrow"))
-            .groupby("coarse")
-            .map_groups(_jump_resolve, batch_format="pyarrow")
-            .map_batches(_rebucket, batch_format="pyarrow"))
-
-        # exact convergence witness: count of nodes whose label moved —
-        # a co-partition compare (old/new tagged, joined per bucket on
-        # node, mismatches counted) + one scalar sum; no driver tables
-        def _diff(df):
-            if len(df) == 0:
-                return pd.DataFrame({"changed": pd.Series([], dtype="int64")})
-            old = df[df.label.isna()][["node", "label_old"]]
-            new = df[df.label.notna()][["node", "label"]]
-            m = old.merge(new, on="node", how="outer")
-            ch = int((m.label_old != m.label).sum())
-            return pd.DataFrame({"changed": [ch]})
-
-        def _tag_old(t: pa.Table) -> pa.Table:
-            node = t.column("node").combine_chunks()
-            return pa.table({
-                "node": node,
-                "label_old": pc.cast(t.column("label"), pa.string()),
-                "label": pa.nulls(t.num_rows, pa.string()),
-                "coarse": _bucket(node),
-            })
-
-        def _tag_new(t: pa.Table) -> pa.Table:
-            node = t.column("node").combine_chunks()
-            return pa.table({
-                "node": node,
-                "label_old": pa.nulls(t.num_rows, pa.string()),
-                "label": pc.cast(t.column("label"), pa.string()),
-                "coarse": _bucket(node),
-            })
-
-        changed = (
-            labels.map_batches(_tag_old, batch_format="pyarrow")
-            .union(nxt.map_batches(_tag_new, batch_format="pyarrow"))
-            .groupby("coarse").map_groups(_diff, batch_format="pandas")
-            .sum("changed")
-        )
-        labels = nxt
-        _logger.info("graph_components round %d: %d changed, %.2fs",
-                     _round + 1, int(changed),
-                     time.perf_counter() - _t0)
-        if changed == 0:
-            return labels.map_batches(
-                lambda t: pa.table({
-                    "host": t.column("node"),
-                    "component": t.column("label"),
-                }), batch_format="pyarrow")
-    if strict:
-        raise RuntimeError(
-            f"graph_components: no fixed point in {max_rounds} rounds "
-            f"(component diameter exceeds the budget — raise max_rounds)")
-    return labels.map_batches(
-        lambda t: pa.table({
-            "host": t.column("node"),
-            "component": t.column("label"),
-        }), batch_format="pyarrow")
+    return connected_components(
+        edges_ds, src_col, dst_col, max_rounds=max_rounds, strict=strict,
+        names=("host", "component"))
 
 
 def anchor_text_rollup(pages_ds):

@@ -363,14 +363,6 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_of_run(starts: np.ndarray) -> np.ndarray:
-    """Index of each row's run-first row, given the run_starts mask."""
-    import numpy as np
-
-    return np.maximum.accumulate(
-        np.where(starts, np.arange(len(starts)), 0))
-
-
 def zorder_key(a: "np.ndarray", b: "np.ndarray", bits: int) -> "np.ndarray":
     """Interleave the low ``bits`` of two non-negative integer arrays
     into a Morton (Z-order) key: bit i of ``a`` → bit 2i, bit i of
