@@ -303,3 +303,121 @@ class TestStageReport:
         # fallback) and is plausibly positive
         ext = t[t["operator"].str.contains("extract_batch_sliced")]
         assert (ext["wall_us_reported"] > 0).all()
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Every Ray Data execution started by this process, in order."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    started = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        started.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return started
+
+
+def _footer_rows(files):
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+class TestOneExecution:
+    def test_commit_groups_share_one_execution(
+        self, ray_session, tmp_path, pages_files, executions
+    ):
+        out = str(tmp_path / "out")
+        s = run_pipeline(pages_files, PipelineConfig(output_dir=out,
+                                                     commit_groups=4))
+        assert len(executions) == 1
+        assert s["groups_executed"] == 4
+        assert s["partitions_committed"] == 4
+
+    def test_group_manifest_matches_its_files(
+        self, ray_session, tmp_path, pages_files
+    ):
+        """Each manifest counts exactly the rows written under its own
+        group dir and read from its own input files — a branch tagged
+        with the wrong group would break one of the equalities."""
+        out = str(tmp_path / "out")
+        run_pipeline(pages_files, PipelineConfig(output_dir=out,
+                                                 commit_groups=4))
+        manifests = mf.read_manifests(out)
+        assert len(manifests) == 4
+        for m in manifests:
+            written = glob.glob(
+                os.path.join(mf.group_dir(out, m["part_id"]), "*.parquet"))
+            assert m["total_urls"] == _footer_rows(written) \
+                == _footer_rows(m["input_files"]) > 0
+
+    def test_zero_row_group_commits_zero_counters(self, ray_session, tmp_path):
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        tbl = synth_pages_table(SF)
+        d = tmp_path / "pages"
+        d.mkdir()
+        pq.write_table(tbl.slice(0, 200), str(d / "pages-000.parquet"))
+        pq.write_table(tbl.slice(0, 0), str(d / "pages-001.parquet"))
+        pq.write_table(tbl.slice(200, 150), str(d / "pages-002.parquet"))
+        out = str(tmp_path / "out")
+        s = run_pipeline(str(d), PipelineConfig(output_dir=out,
+                                                commit_groups=3))
+        by_gid = {m["part_id"]: m for m in mf.read_manifests(out)}
+        assert sorted(by_gid) == [0, 1, 2]
+        empty = by_gid[1]
+        assert empty["input_files"] == [str(d / "pages-001.parquet")]
+        assert all(v == 0 for k, v in empty.items()
+                   if k not in ("part_id", "input_files"))
+        assert by_gid[0]["total_urls"] == 200
+        assert by_gid[2]["total_urls"] == 150
+        assert s["urls_total"] == 350 and s["partitions_committed"] == 3
+        urls = rd.read_parquet(out).select_columns(["url"]).take_all()
+        assert sorted(r["url"] for r in urls) == sorted(
+            tbl.slice(0, 350).column("url").to_pylist())
+
+    def test_summary_without_output_dir_matches_committed_run(
+        self, ray_session, tmp_path, pages_files
+    ):
+        plain = run_pipeline(pages_files, PipelineConfig())
+        committed = run_pipeline(pages_files, PipelineConfig(
+            output_dir=str(tmp_path / "out"), commit_groups=4))
+        for run_only in ("duration_seconds", "partitions_committed",
+                         "groups_executed"):
+            plain.pop(run_only, None)
+            committed.pop(run_only, None)
+        assert plain == committed
+        assert plain["urls_total"] == 500
+
+    def test_abandoned_counter_stream_stops_its_execution(
+        self, ray_session, executions
+    ):
+        """Closing the caller's counter stream early (a failed commit
+        mid-run) shuts the execution down at once, not whenever the
+        garbage collector gets to an abandoned iterator."""
+        import time
+
+        import ray.data as rd
+
+        from web_mass_scraper_ocr_ray.pipelines.extract_pipeline import (
+            _counter_rows,
+        )
+
+        def slow_count(t):
+            time.sleep(0.5)
+            return pa.table({"n": [t.num_rows]})
+
+        ds = rd.range(32, override_num_blocks=16).map_batches(
+            slow_count, batch_format="pyarrow", batch_size=None)
+        rows = _counter_rows(ds)
+        assert next(rows) == {"n": 2}
+        rows.close()
+        assert len(executions) == 1
+        assert executions[0]._shutdown

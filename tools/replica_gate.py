@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 import math
+import os
 import sys
 
 import duckdb
@@ -77,8 +78,8 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local", num_cpus=os.cpu_count() or 1,
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -89,7 +90,6 @@ def main():
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     names = args.names or sorted(qs)
-    import os
 
     con = duckdb.connect()
     # bound the oracle side: a pair-quadratic SQL mirror on a

@@ -5,7 +5,7 @@ surface (main.py:483-649, config.py:17-56) with explicit flags::
 
     ray job submit -- python -m web_mass_scraper_ocr_ray.cli run \\
         --input /data/pages --output /data/extracted \\
-        --mode both --commit-groups 64
+        --mode both --commit-groups 4
 
     python -m web_mass_scraper_ocr_ray.cli summary --output /data/extracted
 
@@ -45,7 +45,6 @@ def cmd_run(args) -> int:
         mode=args.mode,
         output_dir=args.output,
         commit_groups=args.commit_groups,
-        groups_in_flight=args.groups_in_flight,
         ocr_engine=args.ocr_engine,
         num_partitions=args.num_partitions,
         parse_pdfs=args.parse_pdfs,
@@ -118,17 +117,11 @@ def cmd_query(args) -> int:
 
 def cmd_summary(args) -> int:
     """Print the merged session summary from committed manifests (S11)."""
-    from .functions.metadata import finalize_session_summary
-    from .pipelines.extract_pipeline import _SUM_COLS
+    from .pipelines.extract_pipeline import merge_counters
     from .state import manifest as mf
 
     manifests = mf.read_manifests(args.output)
-    totals = {k: 0 for k in
-              ["total_urls", "successful_urls", "failed_urls", *_SUM_COLS]}
-    for m in manifests:
-        for k in totals:
-            totals[k] += int(m.get(k, 0))
-    out = finalize_session_summary(totals)
+    out = merge_counters(manifests)
     out["partitions_committed"] = len(manifests)
     print(json.dumps(out))
     return 0
@@ -144,8 +137,7 @@ def main(argv=None) -> int:
     runp.add_argument("--output", required=True, help="output directory")
     runp.add_argument("--mode", default="both",
                       choices=["text", "ocr", "both"])
-    runp.add_argument("--commit-groups", type=int, default=16)
-    runp.add_argument("--groups-in-flight", type=int, default=1)
+    runp.add_argument("--commit-groups", type=int, default=4)
     runp.add_argument("--num-partitions", type=int, default=64)
     runp.add_argument("--ocr-engine", default="stub",
                       choices=["stub", "tesseract"])

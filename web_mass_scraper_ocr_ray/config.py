@@ -9,7 +9,7 @@ not by global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 
@@ -59,19 +59,14 @@ class PipelineConfig:
     output_dir: Optional[str] = None    # None → no write stage (return ds)
     manifest_dirname: str = "_manifest"
     # physical resume granularity: number of commit groups the input
-    # FILE list is split into (each group = its own streaming pipeline
-    # + atomic manifest; §4.5). 1 = single commit (fastest); raise for
-    # long jobs where losing a crashed run's work matters. Dataset
-    # (non-file) input always runs as one group.
+    # FILE list is split into (§4.5). Each group is one branch of the
+    # run's single streamed plan and commits its own atomic manifest;
+    # more groups = finer resume, but every pending branch runs at once,
+    # so worker memory grows with the count (crawl_small at 2 CPUs:
+    # worker peak RSS ~202 MB at 4 groups, ~224 MB at 10). 1 =
+    # single commit; raise for long jobs where losing a crashed run's
+    # work matters. Dataset (non-file) input always runs as one group.
     commit_groups: int = 1
-    # commit groups running concurrently (each its own streaming
-    # execution on the shared cluster). Default 1: two streaming
-    # executors negotiating a cold cluster repeatedly measured
-    # 26-58 s/group vs 2.5-5 s/group sequential (they fight over
-    # worker startup / resource reservation); the ~2 s/group barrier
-    # overlap that motivated 2 never recovers that. Raise only for
-    # long-running groups on a warm cluster.
-    groups_in_flight: int = 1
 
     # input column pruning at the read
     input_columns: tuple = ("url", "warc_ts", "html")
@@ -84,8 +79,6 @@ class PipelineConfig:
     # keep raw html bytes in the output? (reference writes page.html —
     # S8; prod default drops it: raw html already lives in the input)
     keep_html: bool = False
-
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("text", "ocr", "both"):

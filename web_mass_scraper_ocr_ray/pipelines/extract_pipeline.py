@@ -1,15 +1,17 @@
 """Flagship pipeline: pages → extract → OCR → rollups → committed output.
 
-Ray-Data expression of the reference's whole lifecycle (main.py:483-649):
+Ray-Data expression of the reference's whole lifecycle (main.py:483-649)
+as ONE streaming execution per run, one branch per pending commit group
+g (deterministic input-file split, §4.5):
 
-    for each commit group g (deterministic input-file split, §4.5):
-      pages = read_parquet(group files, pruned columns)   # source
-      pages = assign part_id (url shard column)           # J2 key
-      ext   = pages.map_batches(extract_batch_sliced)     # M1-M5, M9-M10
-      ext   = ext.map_batches(ocr_batch_fused | OCRStage) # T2 (mode gate)
-      ext.write_parquet(out/group-g/)                     # S8-S15
-      commit manifest(g, lineage + counters)              # S13-S15, A4
-    session summary = merge of group counters             # A4, S11
+    read_parquet(group files, pruned columns)          # source
+      → assign part_id (url shard column)              # J2 key
+      → map_batches(extract_batch_sliced)              # M1-M5, M9-M10
+      → map_batches(ocr_batch_fused | OCRStage)        # T2 (mode gate)
+      → write out/group-g/ block + counter row tagged g  # S8-S15
+    union(branches); the caller sums counter rows per group and commits
+    manifest(g, lineage + counters) once g's rows match its footers
+    session summary = merge of group counters          # A4, S11
 
 One process boundary (Ray object store) replaces the reference's
 browser-subprocess / Postgres / HTTP triangle (SURVEY.md §3.4).
@@ -19,9 +21,10 @@ never leave storage.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from functools import partial
-from typing import Dict, Optional
+from functools import cache, partial
+from typing import Dict, Iterable, Iterator, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -189,32 +192,42 @@ def _counter_partials(t: pa.Table) -> pa.Table:
     return pa.table({k: pa.array(v, pa.int64()) for k, v in row.items()})
 
 
-def _merge_counter_partials(partials_ds):
-    from ray.data.aggregate import Sum
+def _group_counters(parts: Iterable[Dict]) -> Dict[str, int]:
+    """Sum counter dicts (partial rows or manifests) → one group's
+    counters, ``failed_urls`` derived (associative, A4)."""
+    totals = dict.fromkeys(_COUNTER_NAMES, 0)
+    for part in parts:
+        for k in _COUNTER_NAMES:
+            totals[k] += int(part.get(k) or 0)
+    totals["failed_urls"] = totals["total_urls"] - totals["successful_urls"]
+    return totals
 
-    merged = partials_ds.aggregate(
-        *[Sum(n, alias_name=n) for n in _COUNTER_NAMES]
-    )
-    counters = {k: int(merged.get(k) or 0) for k in _COUNTER_NAMES}
-    counters["failed_urls"] = counters["total_urls"] - counters["successful_urls"]
-    return counters
+
+def merge_counters(parts: Iterable[Dict]) -> Dict:
+    """Counter dicts (partial rows, group counters or manifests) → the
+    finalized session summary; no parts gives the all-zero summary."""
+    return finalize_session_summary(_group_counters(parts))
 
 
-def _session_counter_sums(ds):
-    """Associative partial sums over the output (A4) — ONE dataset
-    execution: each batch collapses to a single partial-counter row,
-    then one tiny global Sum. Two separate aggregates here would scan
-    the dataset twice per commit group."""
-    return _merge_counter_partials(
-        ds.map_batches(_counter_partials, batch_format="pyarrow")
-    )
+def _counter_rows(ds) -> Iterator[Dict]:
+    """Stream the (tiny) counter rows of ``ds`` to the calling process —
+    summing them here replaces an all-to-all aggregate exchange. Closing
+    the generator early shuts the execution down instead of leaving it
+    to the garbage collector."""
+    try:
+        for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+            yield from batch.to_pylist()
+    finally:
+        executor = getattr(ds, "_current_executor", None)
+        if executor is not None:
+            executor.shutdown(force=False)
 
 
 def _write_block_and_count(t: pa.Table, gdir: str) -> pa.Table:
     """Fused sink+combiner: write the block as one Parquet part AND
-    emit its counter-partial row — the whole commit group runs in ONE
-    dataset execution (the old write → re-read-stats → aggregate path
-    paid a second scan plus a second executor ramp per group).
+    emit its counter-partial row — writing and counting share ONE
+    dataset execution (a write → re-read-stats → aggregate path pays a
+    second scan plus a second executor ramp).
 
     The part filename derives from the block's (first url, last url,
     row count): urls are unique within a group, so distinct blocks get
@@ -238,8 +251,9 @@ def _write_block_and_count(t: pa.Table, gdir: str) -> pa.Table:
 
 def session_summary(ds) -> Dict:
     """Global session rollup — ScrapingSession.get_session_summary analog
-    (main.py:72-123), computed as a distributed aggregate."""
-    return finalize_session_summary(_session_counter_sums(ds))
+    (main.py:72-123): one counter row per block, summed in this process."""
+    return merge_counters(_counter_rows(
+        ds.map_batches(_counter_partials, batch_format="pyarrow")))
 
 
 def hostname_rollup(ds):
@@ -267,172 +281,137 @@ def hostname_rollup(ds):
     )
 
 
-# Guards lazy, non-thread-safe dataset construction (see _run_group).
-import threading
-
-_DS_BUILD_LOCK = threading.Lock()
+def _write_group_block(t: pa.Table, gdir: str, gid: int) -> pa.Table:
+    """Sink of commit group ``gid``'s branch: the block's counter row,
+    tagged with the group it belongs to."""
+    part = _write_block_and_count(t, gdir)
+    return part.append_column("gid", pa.array([gid], pa.int64()))
 
 
 def run_pipeline(pages, cfg: Optional[PipelineConfig] = None) -> Dict:
     """Execute end-to-end; returns the run summary (S11 analog).
 
     ``pages`` is a Dataset, a Parquet path, or a list of Parquet files.
-
-    With ``cfg.output_dir`` and file input, the run is split into
-    ``cfg.commit_groups`` deterministic file groups (§4.5): each group
-    streams through its own pipeline, writes ``out/group-<g>/`` as
-    plain block files, then commits an atomic manifest with the group's
-    lineage (input files) and session counters. A crashed run resumes
-    by skipping committed groups at the READ (their files never leave
-    storage) and deleting partial uncommitted dirs. Dataset input is a
-    single commit group (in-memory sources have no file lineage).
+    With ``cfg.output_dir``, file input is split into
+    ``cfg.commit_groups`` deterministic groups (§4.5), each one branch
+    of a single streamed plan writing ``out/group-<g>/``; group g's
+    atomic manifest (lineage + counters) is committed once its counted
+    rows equal its files' Parquet footer row counts. A resumed run skips
+    committed groups at the READ (their files never leave storage) and
+    deletes partial uncommitted dirs. Dataset input is one group (no
+    file lineage), committed when the stream ends.
     """
+    import os
+
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     cfg = cfg or PipelineConfig()
     start = time.monotonic()
-    from .._compat import ensure_threadsafe_fsspec_http
-
-    ensure_threadsafe_fsspec_http()
     if cfg.target_max_block_size:
-        from ray.data import DataContext
+        ctx = rd.DataContext.get_current()
+        ctx.target_max_block_size = cfg.target_max_block_size
 
-        DataContext.get_current().target_max_block_size = (
-            cfg.target_max_block_size
-        )
+    files = (_expand_parquet_paths(pages)
+             if isinstance(pages, (str, list, tuple)) else None)
 
-    # resolve input → list of (group_id, files-or-dataset)
-    if isinstance(pages, (str, list, tuple)):
-        paths = _expand_parquet_paths(pages)
-        if not paths:
-            # empty input: a valid (if vacuous) run — zero-count summary,
-            # nothing written, no manifests (nothing to commit)
-            summary = finalize_session_summary(
-                {k: 0 for k in [
-                    "total_urls", "successful_urls", "failed_urls",
-                    *_SUM_COLS.keys()]}
-            )
-            summary["duration_seconds"] = time.monotonic() - start
-            summary["partitions_committed"] = 0
-            summary["groups_executed"] = 0
-            return summary
-        groups = mf.split_file_groups(list(paths), cfg.commit_groups)
-        jobs = [(gid, files) for gid, files in enumerate(groups)]
-        make_ds = lambda files: rd.read_parquet(
-            list(files), columns=list(cfg.input_columns)
-        )
-    else:
-        jobs = [(0, pages)]
-        make_ds = lambda ds: ds
+    def read(paths):
+        return rd.read_parquet(list(paths), columns=list(cfg.input_columns))
+
+    if files == []:
+        # empty input: a valid (if vacuous) run — zero-count summary,
+        # nothing written, no manifests (nothing to commit)
+        return {**merge_counters([]), "partitions_committed": 0,
+                "groups_executed": 0,
+                "duration_seconds": time.monotonic() - start}
 
     if not cfg.output_dir:
-        assert len(jobs) == 1 or isinstance(pages, (str, list, tuple))
-        ds_all = [build_pipeline(make_ds(j), cfg) for _, j in jobs]
-        full = ds_all[0]
-        for extra in ds_all[1:]:
-            full = full.union(extra)
-        summary = session_summary(full)
+        summary = session_summary(
+            build_pipeline(pages if files is None else read(files), cfg))
         summary["duration_seconds"] = time.monotonic() - start
         return summary
 
+    # group id → its input files (None: Dataset input, no file lineage)
+    jobs = ({0: None} if files is None else
+            dict(enumerate(mf.split_file_groups(files, cfg.commit_groups))))
     committed = mf.committed_parts(cfg.output_dir, cfg.manifest_dirname)
     mf.clean_uncommitted(cfg.output_dir, committed)
     manifests = {m["part_id"]: m for m in
                  mf.read_manifests(cfg.output_dir, cfg.manifest_dirname)}
 
-    totals = {k: 0 for k in
-              ["total_urls", "successful_urls", "failed_urls", *_SUM_COLS.keys()]}
-
-    def _run_group(gid, job) -> Dict:
-        import os
-
-        gdir = mf.group_dir(cfg.output_dir, gid)
-        os.makedirs(gdir, exist_ok=True)
-        with _DS_BUILD_LOCK:
-            # serialize read_parquet CONSTRUCTION only: its lazy fsspec
-            # probe is not thread-safe when aiohttp is absent (a failed
-            # concurrent import surfaces as ImportError, which Ray's
-            # ModuleNotFoundError guard misses). Execution runs parallel.
-            ds = build_pipeline(make_ds(job), cfg)
-        # fused write+count: each block task writes its Parquet part and
-        # emits a counter partial — one execution per group, no separate
-        # stats re-read (was ~2s/group of ramp+scan). Commit record is
-        # written ONLY after every part + the counter aggregate land.
-        partials = ds.map_batches(
-            partial(_write_block_and_count, gdir=gdir),
-            batch_format="pyarrow", batch_size=None,
-        )
-        stats = _merge_counter_partials(partials)
-        lineage = {"input_files": list(job)} if isinstance(
-            job, (list, tuple)) else {"input_files": None}
-        mf.commit_partition(
-            cfg.output_dir, gid, {**stats, **lineage}, cfg.manifest_dirname
-        )
-        return stats
-
-    # Pipelined group execution: a strictly sequential loop idles the
-    # cluster at every group boundary (ramp, drain, stats scan, commit
-    # — measured ~2s each). Running a couple of groups concurrently
-    # (each its own streaming execution against the shared cluster)
-    # overlaps one group's barriers with another's compute. Resume
-    # semantics are untouched — each group still commits atomically.
-    from concurrent.futures import ThreadPoolExecutor
-
     # Resume-lineage validation: a committed manifest is only a valid
     # skip if its recorded input_files match the group recomputed from
     # TODAY's input + commit_groups — otherwise the resume would
     # silently skip new files or double-process rows (ADVICE r1).
-    for gid, job in jobs:
-        if gid not in committed:
-            continue
+    for gid in sorted(committed & jobs.keys()):
         recorded = (manifests.get(gid) or {}).get("input_files")
-        current = list(job) if isinstance(job, (list, tuple)) else None
-        if recorded is not None and current is not None and \
-                list(recorded) != current:
+        if None not in (recorded, jobs[gid]) and list(recorded) != jobs[gid]:
             raise RuntimeError(
                 f"resume lineage mismatch for commit group {gid}: the "
                 f"manifest was written for input_files={recorded} but the "
-                f"recomputed group is {current} — the input file set or "
+                f"recomputed group is {jobs[gid]} — the input file set or "
                 f"commit_groups changed since the committed run. Delete "
                 f"'{cfg.output_dir}' (or restore the original input/config) "
                 f"before resuming."
             )
 
-    groups_run = 0
-    pending = [(gid, job) for gid, job in jobs if gid not in committed]
-    results: Dict[int, Dict] = {
-        gid: manifests[gid] for gid, _ in jobs if gid in committed
-    }
-    if pending:
-        # Warm-first: the FIRST group runs ALONE. Two streaming
-        # executions launched into a cold Ray session fight over worker
-        # startup (2× task-slot demand → worker churn + import storm —
-        # measured 58 s/group cold-concurrent vs 2.5 s/group warm on
-        # this corpus). Once the worker pool is warm, overlapping
-        # groups only overlaps ramp/drain/commit barriers, which is the
-        # point of pipelining them.
-        gid0, job0 = pending[0]
-        results[gid0] = _run_group(gid0, job0)
-        rest = pending[1:]
-        if rest:
-            workers = max(1, min(cfg.groups_in_flight, len(rest)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {pool.submit(_run_group, gid, job): gid
-                        for gid, job in rest}
-                for fut, gid in futs.items():
-                    results[gid] = fut.result()
-        groups_run = len(pending)
-    for gid, _ in jobs:
-        stats = results[gid]
-        for k in totals:
-            totals[k] += int(stats.get(k, 0))
+    results = {gid: manifests[gid] for gid in jobs if gid in committed}
+    pending = [gid for gid in jobs if gid not in committed]
+    sums = {gid: dict.fromkeys(_COUNTER_NAMES, 0) for gid in pending}
 
-    summary = finalize_session_summary(totals)
+    @cache
+    def want(gid):
+        # a file group's exact row count from its Parquet footers (no
+        # scan), read while the execution runs; None for Dataset input
+        if jobs[gid] is not None:
+            return sum(pq.read_metadata(f).num_rows for f in jobs[gid])
+        return None
+
+    def commit(gid):
+        # every data file of the group is written before its counter
+        # row reaches this process, so the record lands after the data
+        results[gid] = _group_counters([sums[gid]])
+        mf.commit_partition(
+            cfg.output_dir, gid,
+            {**results[gid], "input_files": jobs[gid]}, cfg.manifest_dirname,
+        )
+
+    branches = []
+    for gid in pending:
+        gdir = mf.group_dir(cfg.output_dir, gid)
+        os.makedirs(gdir, exist_ok=True)
+        src = pages if jobs[gid] is None else read(jobs[gid])
+        branches.append(build_pipeline(src, cfg).map_batches(
+            partial(_write_group_block, gdir=gdir, gid=gid),
+            batch_format="pyarrow", batch_size=None,
+        ))
+    if branches:
+        rows = _counter_rows(branches[0].union(*branches[1:])
+                             if len(branches) > 1 else branches[0])
+        with contextlib.closing(rows):
+            for row in rows:
+                gid = row["gid"]
+                for k in _COUNTER_NAMES:
+                    sums[gid][k] += row[k]
+                if sums[gid]["total_urls"] == want(gid):
+                    commit(gid)  # complete: commit without waiting
+    # the stream has ended: a group not yet committed is complete only
+    # if it has no footer count (Dataset input) or its rows match it
+    for gid in [g for g in pending if g not in results]:
+        got = sums[gid]["total_urls"]
+        if want(gid) not in (None, got):
+            raise RuntimeError(
+                f"commit group {gid} produced {got} rows but its input "
+                f"files hold {want(gid)} rows"
+            )
+        commit(gid)
+
+    summary = merge_counters(results[gid] for gid in jobs)
     summary["duration_seconds"] = time.monotonic() - start
     summary["partitions_committed"] = len(
         mf.committed_parts(cfg.output_dir, cfg.manifest_dirname)
     )
-    summary["groups_executed"] = groups_run
+    summary["groups_executed"] = len(pending)
     return summary
 
 

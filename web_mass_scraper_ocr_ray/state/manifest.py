@@ -7,10 +7,12 @@ skip-if-completed, main.py:598-606 pending drain). Two mechanisms:
 
 **Commit groups (physical resume unit).** The input FILE list is split
 deterministically into G groups (``split_file_groups``); each group is
-one streaming pipeline writing ``out/group-<g>/...`` then one atomic
-commit record ``_manifest/part-<g>.json`` (tmp+rename) carrying the
-group's input files and the associative session counters
-(main.py:30-44). On restart: committed groups are skipped entirely at
+one branch of the run's single streaming execution, writing
+``out/group-<g>/...``, and gets one atomic commit record
+``_manifest/part-<g>.json`` (tmp+rename) carrying the group's input
+files and the associative session counters (main.py:30-44), written
+once the group's counted rows match its input files' Parquet footers.
+On restart: committed groups are skipped entirely at
 the read (their input files never leave storage), uncommitted group
 dirs are deleted (partial output without its commit record is garbage
 — replay is idempotent because the group→files mapping is
