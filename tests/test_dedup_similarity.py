@@ -39,6 +39,24 @@ class TestMinhashRecall:
         exact = exact_jaccard(a, b)
         assert abs(est - exact) < 0.15
 
+    def test_minhasher_rejects_idless_zero_shingle_doc(self):
+        """Without doc_id a sub-k doc would get the all-zero signature
+        and band-collide with every other empty doc: raise instead.
+        With ids (the distributed path) it gets its unique sentinel;
+        ``signature()`` keeps its padded behaviour."""
+        from web_mass_scraper_ocr_ray.stages.dedup import MinHasher
+
+        mh = MinHasher(n_perm=16, shingle_k=5)
+        with pytest.raises(ValueError, match="doc_id"):
+            mh(pa.table({"text": ["long enough text", "abc"]}))
+        out = mh(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                           "text": ["abc", ""]}))
+        a, b = out.column("minhash").to_pylist()
+        assert a != b and any(a) and any(b)
+        ok = mh(pa.table({"text": ["long enough text"]}))
+        assert ok.num_rows == 1
+        assert len(mh.signature("abc")) == 16
+
     def test_exact_jaccard_bounds(self):
         from web_mass_scraper_ocr_ray.stages.dedup import exact_jaccard
 
@@ -519,7 +537,7 @@ class TestPairCapOverflow:
 
         from web_mass_scraper_ocr_ray.stages.dedup import (
             PAIR_RUN_CAP,
-            _pairs_from_coarse_group,
+            _pairs_from_band_runs,
         )
 
         n = PAIR_RUN_CAP + 320
@@ -530,7 +548,7 @@ class TestPairCapOverflow:
         })
         with caplog.at_level(logging.WARNING,
                              logger="web_mass_scraper_ocr_ray.stages.dedup"):
-            t = _pairs_from_coarse_group(df)
+            t = _pairs_from_band_runs(df)
         pairs = list(zip(t.column("doc_a").to_pylist(),
                          t.column("doc_b").to_pylist()))
         # every member occurs in >= 1 pair and the bucket is ONE
@@ -550,7 +568,7 @@ class TestPairCapOverflow:
 
         from web_mass_scraper_ocr_ray.stages.dedup import (
             PAIR_RUN_CAP,
-            _cross_pairs_from_coarse_group,
+            _cross_pairs_from_band_runs,
         )
 
         n_old, n_new = PAIR_RUN_CAP + 50, PAIR_RUN_CAP + 70
@@ -566,7 +584,7 @@ class TestPairCapOverflow:
                 np.zeros(n_old, np.int8), np.ones(n_new, np.int8),
             ])),
         })
-        t = _cross_pairs_from_coarse_group(df)
+        t = _cross_pairs_from_band_runs(df)
         a = t.column("doc_a").to_pylist()
         b = t.column("doc_b").to_pylist()
         # normalization: doc_a old side, doc_b new side
@@ -772,7 +790,7 @@ class TestPairCountsBucketed:
         import pyarrow as pa
         import ray.data as rd
         from web_mass_scraper_ocr_ray.stages.shuffle import (
-            pair_counts_bucketed,
+            pair_counts,
         )
 
         rng = np.random.RandomState(3)
@@ -780,7 +798,7 @@ class TestPairCountsBucketed:
         b = (a + 1 + rng.randint(0, 5, 3000)).astype(np.int64)
         ds = rd.from_arrow(pa.table({
             "doc_a": pa.array(a), "doc_b": pa.array(b)})).repartition(7)
-        out = pair_counts_bucketed(ds).to_pandas()
+        out = pair_counts(ds).to_pandas()
         import pandas as pd
 
         expect = (pd.DataFrame({"doc_a": a, "doc_b": b})

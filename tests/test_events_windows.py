@@ -1,8 +1,8 @@
-"""Hot-group tests for the hash-bucketed per-user events kernels
-(r3 verdict #2): one user holding ~95% of the rows, spanning many
-blocks, must produce exactly the same sessions / ranks / running sums
-as a driver-side pandas reference — and it must get there through
-`bucketed_map_groups` (one in-bucket sort), never a per-user task.
+"""Hot-group tests for the per-user events kernels (r3 verdict #2):
+one user holding ~95% of the rows, spanning many blocks, must produce
+exactly the same sessions / ranks / running sums as a driver-side
+pandas reference — and it must get there through `shuffle.sorted_runs`
+(one per-block sort), never a per-user task.
 """
 
 import numpy as np

@@ -98,16 +98,6 @@ class TestAsofJoin:
         ).to_pandas()
         assert out["right_event_id"].isna().all()
 
-    def test_rejects_non_power_of_two_buckets(self, ray_session):
-        from web_mass_scraper_ocr_ray.stages.joins import asof_join
-
-        with pytest.raises(ValueError):
-            asof_join(_ds({"user_id": [1], "ts": [_t(0)]}),
-                      _ds({"user_id": [1], "ts": [_t(0)]}),
-                      key="user_id", on="ts",
-                      left_cols=["user_id"], right_cols=["user_id"],
-                      n_buckets=48)
-
 
 class TestRangeCountJoin:
     def test_window_boundaries(self, ray_session):
@@ -740,3 +730,38 @@ def test_window_pair_join_matches_bruteforce(ray_session, lefts, rights,
         if ru == u and 0 < (rt - t) * 6_000_000 <= w_us
     )
     assert got == expect
+
+
+class TestKeyedJoinNulls:
+    """A null string join key is a ValueError naming the column — not
+    Ray's raw TypeError from sorting a null among strings; integer
+    null keys join as Arrow ``is_in`` matches them."""
+
+    def test_anti_join_null_url_raises_value_error(self, ray_session):
+        from ray.data import DataContext
+
+        from web_mass_scraper_ocr_ray.stages.joins import anti_join
+
+        ctx = DataContext.get_current()
+        old = ctx.raise_original_map_exception
+        ctx.raise_original_map_exception = True  # unwrapped task error
+        try:
+            left = _ds({"url": ["a", None, "c"], "n": [1, 2, 3]})
+            with pytest.raises(ValueError, match="'url'") as exc:
+                anti_join(left, _ds({"url": ["c"]}), on="url").take_all()
+            assert not isinstance(exc.value, TypeError)
+            with pytest.raises(ValueError, match="'url'"):
+                anti_join(_ds({"url": ["a"], "n": [1]}),
+                          _ds({"url": pa.array([None, "a"], pa.string())}),
+                          on="url").take_all()
+        finally:
+            ctx.raise_original_map_exception = old
+
+    def test_anti_join_null_int_key_gives_output(self, ray_session):
+        from web_mass_scraper_ocr_ray.stages.joins import anti_join
+
+        left = _ds({"k": pa.array([1, None, 3], pa.int64()),
+                    "n": [1, 2, 3]})
+        out = anti_join(left, _ds({"k": pa.array([3], pa.int64())}),
+                        on="k").take_all()
+        assert sorted(r["n"] for r in out) == [1, 2]

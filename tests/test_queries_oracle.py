@@ -3,11 +3,10 @@ entry runs under Ray and, where an oracle exists, is compared to the
 DuckDB result — row count, column names, and order-insensitive values.
 """
 
-import math
-
 import duckdb
-import pandas as pd
 import pytest
+
+from tools.oracle_compare import compare, to_pandas
 
 SF = "/root/testdata/sf0.001"
 
@@ -27,44 +26,6 @@ def duck():
     return con
 
 
-def _to_pandas(result):
-    import pyarrow as pa
-    import ray.data
-
-    if isinstance(result, ray.data.Dataset):
-        return result.to_pandas()
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result
-
-
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    df = df.sort_values(by=list(df.columns), ignore_index=True)
-    return df
-
-
-def _compare(ray_df: pd.DataFrame, duck_df: pd.DataFrame, name: str):
-    assert len(ray_df) == len(duck_df), (
-        f"{name}: row count {len(ray_df)} vs oracle {len(duck_df)}"
-    )
-    assert sorted(ray_df.columns) == sorted(duck_df.columns), (
-        f"{name}: columns {sorted(ray_df.columns)} vs {sorted(duck_df.columns)}"
-    )
-    a, b = _normalize(ray_df), _normalize(duck_df)
-    for col in a.columns:
-        av, bv = a[col].tolist(), b[col].tolist()
-        if a[col].dtype.kind == "f":
-            assert all(
-                (math.isnan(x) and math.isnan(y)) or abs(x - y) < 1e-9
-                for x, y in zip(av, bv)
-            ), f"{name}.{col}: float mismatch"
-        else:
-            assert av == bv, f"{name}.{col}: value mismatch (first diff: " + str(
-                next(((x, y) for x, y in zip(av, bv) if x != y), None)
-            ) + ")"
-
-
 def _all_query_names():
     from web_mass_scraper_ocr_ray.pipelines.queries import QUERIES
 
@@ -77,15 +38,38 @@ def test_query_against_oracle(name, ray_session, duck):
 
     q = entrymod.queries()[name]
     oracles = entrymod.oracle_sql()
-    ray_df = _to_pandas(q(SF))
+    ray_df = to_pandas(q(SF))
     if name in oracles:
         duck_df = duck.sql(oracles[name]).df()
-        _compare(ray_df, duck_df, name)
+        compare(ray_df, duck_df, name)
     else:
         # rows-only check (driver's weaker path): non-empty + stable
         assert len(ray_df) >= 0
-        again = _to_pandas(q(SF))
+        again = to_pandas(q(SF))
         assert len(again) == len(ray_df), f"{name}: nondeterministic row count"
+
+
+def test_to_pandas_rebuilds_typed_empty(ray_session):
+    """An empty result keeps its Arrow schema's pandas dtypes."""
+    import pyarrow as pa
+
+    from web_mass_scraper_ocr_ray.stages.shuffle import sorted_runs
+
+    schema = pa.schema([("k", pa.int64()), ("s", pa.string()),
+                        ("x", pa.float64())])
+    ds = sorted_runs(_empty_ds(), "k", lambda t: t, out_schema=schema)
+    df = to_pandas(ds)
+    assert list(df.columns) == ["k", "s", "x"]
+    assert [df[c].dtype.kind for c in df.columns] == ["i", "O", "f"]
+    compare(df, schema.empty_table().to_pandas(), "typed_empty")
+
+
+def _empty_ds():
+    import pyarrow as pa
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({"k": pa.array([1], pa.int64())})
+                         ).filter(lambda r: False)
 
 
 def test_entry_smoke(ray_session):

@@ -54,6 +54,20 @@ class TestEventTransitions:
                for r in event_transitions(rd.from_items(rows)).take_all()}
         assert got == {("a", "b")}
 
+    def test_null_user_rows_give_output(self):
+        # a null int user key sorts as-is: its rows never pair (each
+        # null row is its own run, as in the per-user kernel), and the
+        # keyed users still count
+        t = pa.table({
+            "user_id": pa.array([1, 1, None, None, 2, 2], pa.int64()),
+            "event_id": pa.array(range(6), pa.int64()),
+            "ts": pa.array([0, 1, 2, 3, 4, 5], pa.int64()),
+            "event_type": ["a", "b", "x", "y", "b", "c"],
+        })
+        got = {(r["ev_from"], r["ev_to"]): r["n"]
+               for r in event_transitions(rd.from_arrow(t)).take_all()}
+        assert got == {("a", "b"): 1, ("b", "c"): 1}
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestRollupAggregate:

@@ -74,8 +74,8 @@ def test_giant_pages_byte_budget_slicing():
 
 def test_giant_doc_span_dedup(ray_session):
     """An elephant document (200k tokens) among normal docs flows
-    through the span-dedup shuffle without blowing a bucket: its
-    windows spread across the coarse hash buckets, not one."""
+    through the span-dedup shuffle without blowing a block: its
+    windows spread across the sort on the window hash, not one run."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd

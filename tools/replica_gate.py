@@ -1,72 +1,27 @@
 """Local replica of the driver's correctness gate at an arbitrary SF.
 
 Runs every (or a selected subset of) `queries()` entry under Ray and
-compares against its DuckDB `oracle_sql()` — row count, column names,
-order-insensitive values — exactly like tests/test_queries_oracle.py
-but standalone so it can run at sf0.01/sf0.1 outside pytest.
+compares against its DuckDB `oracle_sql()` with the same
+`tools/oracle_compare.compare` as tests/test_queries_oracle.py, but
+standalone so it can run at sf0.01/sf0.1 outside pytest.
 
 Usage:
     python tools/replica_gate.py [--sf /root/testdata/sf0.01] [names...]
 """
 
 import argparse
-import math
 import os
 import sys
 
 import duckdb
-import pandas as pd
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tools.oracle_compare import compare, to_pandas  # noqa: E402
 
 TABLES = (
     "region nation customer supplier part orders lineitem events "
     "documents embeddings"
 ).split()
-
-
-def _to_pandas(result):
-    import pyarrow as pa
-    import ray.data
-
-    if isinstance(result, ray.data.Dataset):
-        df = result.to_pandas()
-        if df.shape[1] == 0:
-            # an all-empty Dataset loses its column schema through
-            # to_pandas; rebuild it so a legitimately-empty result
-            # (e.g. a graph delta with no changes) compares by schema
-            sch = result.schema(fetch_if_missing=True)
-            if sch is not None:
-                df = pd.DataFrame(
-                    {n: pd.Series(dtype="object") for n in sch.names})
-        return df
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result
-
-
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    return df.sort_values(by=list(df.columns), ignore_index=True)
-
-
-def _compare(ray_df, duck_df, name):
-    assert len(ray_df) == len(duck_df), (
-        f"{name}: rows {len(ray_df)} vs {len(duck_df)}")
-    assert sorted(ray_df.columns) == sorted(duck_df.columns), (
-        f"{name}: cols {sorted(ray_df.columns)} vs "
-        f"{sorted(duck_df.columns)}")
-    a, b = _normalize(ray_df), _normalize(duck_df)
-    for col in a.columns:
-        av, bv = a[col].tolist(), b[col].tolist()
-        if a[col].dtype.kind == "f":
-            assert all(
-                (isinstance(x, float) and isinstance(y, float)
-                 and math.isnan(x) and math.isnan(y))
-                or abs(x - y) < 1e-9
-                for x, y in zip(av, bv)), f"{name}.{col}: float mismatch"
-        else:
-            assert av == bv, (
-                f"{name}.{col}: first diff "
-                f"{next(((x, y) for x, y in zip(av, bv) if x != y), None)}")
 
 
 def main():
@@ -107,9 +62,9 @@ def main():
     n_pass = n_fail = 0
     for name in names:
         try:
-            ray_df = _to_pandas(qs[name](args.sf))
+            ray_df = to_pandas(qs[name](args.sf))
             duck_df = con.sql(oracles[name]).df()
-            _compare(ray_df, duck_df, name)
+            compare(ray_df, duck_df, name)
             n_pass += 1
             print(f"PASS {name}", flush=True)
         except Exception as e:

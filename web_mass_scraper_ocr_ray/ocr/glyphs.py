@@ -19,9 +19,14 @@ ACTUAL pixels and emits ACTUAL text.
   the wrong string and fails the oracle gate.
 
 The charset is A–Z, 0–9 and space. Glyph cells are 5 columns wide
-with a 1-column advance gap; a space is a 6-cell blank advance, so
-word gaps (≥ 7 blank cells) are unambiguous against letter gaps
-(1 cell) at any scale.
+with a 1-column advance gap; a space is a 6-cell blank advance, so a
+word gap is ≥ 7 blank cells against a 1-cell letter gap. The matcher
+splits words at any gap of ≥ ``_WORD_GAP_CELLS`` (4) cells — midway,
+so it is unambiguous at any scale.
+
+Matcher contract: a word gap becomes exactly ONE space, however wide
+it is, so runs of spaces in the rendered text (and leading/trailing
+spaces, which leave no ink) come back single-space normalized.
 """
 
 from __future__ import annotations

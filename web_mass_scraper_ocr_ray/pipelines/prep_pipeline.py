@@ -165,8 +165,10 @@ def build_prep_pipeline(docs_ds, cfg: Optional[PrepConfig] = None):
     the two-pass path (once per lineage branch) — deterministic
     stateless compute, traded for never shuffling text by a skewed
     content key. Both shapes run :func:`_mark_dups` once per sorted
-    block (``batch_size=None``: a whole sort-reduce block, so no
-    text_hash run is split)."""
+    block (``stages.shuffle.sorted_runs``: no text_hash run is
+    split)."""
+    from ..stages.shuffle import sorted_runs
+
     cfg = cfg or PrepConfig()
 
     flagged = docs_ds.map_batches(
@@ -175,19 +177,15 @@ def build_prep_pipeline(docs_ds, cfg: Optional[PrepConfig] = None):
     )
     if not cfg.dedup_two_pass:
         # global exact dedup: the one all-to-all, keyed by 64-bit hash
-        return flagged.sort("text_hash").map_batches(
-            lambda t: _mark_dups(t, cfg),
-            batch_format="pyarrow", batch_size=None,
-        )
+        return sorted_runs(flagged, "text_hash",
+                           lambda t: _mark_dups(t, cfg))
 
     from ..stages.joins import apply_keyed_updates
 
     skinny = flagged.select_columns(
         ["doc_id", "text_hash", "drop_reason", "source"])
-    decisions = skinny.sort("text_hash").map_batches(
-        lambda t: _changed_decisions(t, cfg),
-        batch_format="pyarrow", batch_size=None,
-    )
+    decisions = sorted_runs(skinny, "text_hash",
+                            lambda t: _changed_decisions(t, cfg))
     return apply_keyed_updates(flagged, decisions,
                                on="doc_id", col="drop_reason")
 

@@ -770,7 +770,7 @@ def q_dedup_minhash(sf_dir: str):
     # in one component of the candidate graph. On non-degenerate
     # corpora candidates contain the direct pairs, so this is a pure
     # superset and the gate stays as strict as before.
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     labels = dd.cluster_pairs_label_propagation(cands, as_dataset=True)
 
@@ -798,7 +798,7 @@ def q_dedup_minhash(sf_dir: str):
             & (c[:-1] == c[1:]))
         return pa.table({"doc_id": pa.array(b[adj], pa.int64())})
 
-    connected = bucketed_map_groups(
+    connected = sorted_runs(
         labels.map_batches(_split_side, batch_format="pyarrow"),
         "base_id", _connected,
         out_schema=pa.schema([("doc_id", pa.int64())]))
@@ -1010,7 +1010,7 @@ def q_dedup_simhash(sf_dir: str):
     # COUNT-BASED ground truth (r3 verdict #7): no per-group pair
     # explosion — a degenerate corpus with one giant identical-text
     # group would make the old np.triu_indices side O(n²) while the
-    # operator under test stays bucketed. n_exact = Σ C(n,2) over
+    # operator under test stays sort-shaped. n_exact = Σ C(n,2) over
     # text-hash group sizes; n_common = found pairs whose endpoints
     # share a text hash (identical text ⟹ identical simhash ⟹ every
     # exact pair is a candidate, so equality pins completeness).
@@ -1105,14 +1105,13 @@ def q_dedup_simhash(sf_dir: str):
                      or int(h[i].rsplit(":", 1)[1]) < cap))
         return pa.table({"m": pa.array([int(m)], pa.int64())})
 
-    agg2 = att.groupby("coarse").map_groups(
-        _same_hash_small, batch_format="pyarrow").sum("m")
+    from ..stages.shuffle import sorted_runs
+
+    agg2 = sorted_runs(att, "doc_a", _same_hash_small).sum("m")
     n_common = int(agg2) if agg2 is not None else 0
 
     # giant groups: every member labeled into ONE component
     if n_giant_groups:
-        from ..stages.shuffle import bucketed_map_groups
-
         labels = dd.cluster_pairs_label_propagation(
             found, as_dataset=True)
         lab_h = equi_join(hashed, labels, "doc_id", "doc_id",
@@ -1137,7 +1136,7 @@ def q_dedup_simhash(sf_dir: str):
 
         with_both = equi_join(lab_h, sizes, "text_hash", "text_hash",
                               ["n"])
-        badsum = bucketed_map_groups(
+        badsum = sorted_runs(
             with_both.select_columns(["text_hash", "cluster_id", "n"]),
             "text_hash", _group_ok,
             out_schema=pa.schema([("bad", pa.int64())])).sum("bad")
@@ -1842,9 +1841,8 @@ SESSION_GAP_US = 12 * 3600 * 1_000_000  # 12h — sized to the corpus's
 
 def q_events_sessionize(sf_dir: str):
     """Session windows (gap-based) per user — the classic stateful
-    streaming op, on the skew-proof hash-bucketed group shape: users
-    are BUCKETED (hash(user_id) % 64), one (user, ts) sort per bucket,
-    and session breaks / rollups are pure numpy over run boundaries —
+    streaming op, on the sorted-run shape: one ``sorted_runs`` on the
+    user, one (user, ts) sort per sorted block, and session breaks / rollups are pure numpy over run boundaries —
     no per-user task, so 10⁹ users cost the same per-row work as 15
     (r3 verdict #2; pattern of sampling.rank_per_group). Ordering
     assumption: per-user event order is total (no duplicate (user, ts)
@@ -1852,7 +1850,7 @@ def q_events_sessionize(sf_dir: str):
     import numpy as np
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"]
@@ -1894,15 +1892,15 @@ def q_events_sessionize(sf_dir: str):
             "end_ts": pa.array(ts[ends]).cast(pa.timestamp("us")),
         })
 
-    return bucketed_map_groups(ev, "user_id", _sessions,
-                               out_schema=out_schema)
+    return sorted_runs(ev, "user_id", _sessions,
+                       out_schema=out_schema)
 
 
 def _topk_per_user_kernel(k: int):
     """Vectorized top-k-per-group kernel: one (user, value desc,
     event_id) sort, dense in-run rank via the first-occurrence trick,
     keep rank ≤ k. Used both as the map-side combiner (per batch) and
-    the in-bucket finisher — a classic partial top-k."""
+    the per-block finisher — a classic partial top-k."""
     import numpy as np
 
     def _topk(t: pa.Table) -> pa.Table:
@@ -1940,11 +1938,11 @@ def q_top_events_per_user(sf_dir: str):
     """Grouped top-k: 3 highest-value events per user (tie-break
     event_id), at-scale shape (r3 verdict #2): a map-side partial
     top-3 per batch shrinks each batch to ≤3 rows/user BEFORE the
-    shuffle, then users are hash-bucketed and one in-bucket sort ranks
-    every group — no keyed groupby over an unbounded user key."""
+    shuffle, then one ``sorted_runs`` on the user and one per-block
+    sort ranks every group — no per-user Python call."""
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_id", "value"]
@@ -1960,8 +1958,8 @@ def q_top_events_per_user(sf_dir: str):
     def _final(g: pa.Table) -> pa.Table:
         return kern(g).select(["user_id", "rank", "event_id"])
 
-    return bucketed_map_groups(partial, "user_id", _final,
-                               out_schema=out_schema)
+    return sorted_runs(partial, "user_id", _final,
+                       out_schema=out_schema)
 
 
 def q_approx_distinct_urls(sf_dir: str):
@@ -2024,7 +2022,7 @@ def q_events_asof_join(sf_dir: str):
     """Backward as-of join: each purchase event gets the most recent
     preceding click by the same user (ties → lowest click event_id).
     One keyed co-partition shuffle + vectorized pandas merge_asof per
-    bucket — the join Ray Data lacks natively (SURVEY §2 'custom
+    sorted block — the join Ray Data lacks natively (SURVEY §2 'custom
     operators' mandate; reference has no joins at all)."""
     from ..stages.joins import asof_join
 
@@ -2081,7 +2079,7 @@ def q_events_cumulative(sf_dir: str):
     import numpy as np
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2095,8 +2093,8 @@ def q_events_cumulative(sf_dir: str):
 
     def _cum(g: pa.Table) -> pa.Table:
         # skew-proof shape (r3 verdict #2): one (user, ts, event_id)
-        # sort per hash bucket, then the running sum of EVERY user in
-        # the bucket is one global cumsum rebased at each run start.
+        # sort per sorted block, then the running sum of EVERY user in
+        # the block is one global cumsum rebased at each run start.
         idx = pc.sort_indices(g, sort_keys=[
             ("user_id", "ascending"), ("ts", "ascending"),
             ("event_id", "ascending")])
@@ -2119,7 +2117,7 @@ def q_events_cumulative(sf_dir: str):
             "seq": pa.array(np.arange(n) - first + 1, pa.int64()),
         })
 
-    return bucketed_map_groups(ev, "user_id", _cum, out_schema=out_schema)
+    return sorted_runs(ev, "user_id", _cum, out_schema=out_schema)
 
 
 def q_events_moving_window(sf_dir: str):
@@ -2127,12 +2125,12 @@ def q_events_moving_window(sf_dir: str):
     window (calendar window, gaps included), not a ROWS frame: each
     user's days are aggregated, sorted, and the trailing window is a
     cumsum difference with one composite-key searchsorted over the
-    whole bucket (no per-day, no per-USER Python — r3 verdict #2).
+    whole sorted block (no per-day, no per-USER Python — r3 verdict #2).
     Centi-unit ints keep it bit-exact vs SQL."""
     import numpy as np
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "value"])
@@ -2157,7 +2155,7 @@ def q_events_moving_window(sf_dir: str):
     ])
 
     def _window(g: pa.Table) -> pa.Table:
-        # one (user, day) sort per bucket; duplicate per-batch partials
+        # one (user, day) sort per block; duplicate per-batch partials
         # collapse with reduceat; the RANGE frame for EVERY user comes
         # from one searchsorted on the composite (user, day-ordinal)
         # key — a probe at (u, d-6) can never cross into another user's
@@ -2191,8 +2189,8 @@ def q_events_moving_window(sf_dir: str):
             "win7_sum_centi": pa.array(cum - prev, pa.int64()),
         })
 
-    return bucketed_map_groups(daily, "user_id", _window,
-                               out_schema=out_schema)
+    return sorted_runs(daily, "user_id", _window,
+                       out_schema=out_schema)
 
 
 def _docs_with_pii(sf_dir: str):
@@ -2975,8 +2973,8 @@ def q_fetch_waves(sf_dir: str):
     """Politeness-aware crawl planning: within each host, urls get a
     deterministic order and wave = rank // 2 — the batch plan a
     rate-limited fetcher (reference T3 token bucket, 2 req/s/host)
-    executes wave-by-wave. One hash-bucketed shuffle; a hot host costs
-    one in-bucket sort (stages/sampling.rank_per_group)."""
+    executes wave-by-wave. One sorted-run shuffle; a hot host costs
+    one per-block sort (stages/sampling.rank_per_group)."""
     from ..functions.links import host_of
     from ..stages.sampling import rank_per_group
 
@@ -3041,7 +3039,7 @@ def q_host_components(sf_dir: str):
 
 def q_doc_inverted_index(sf_dir: str):
     """Search-index build: token → (df, capped posting list). Combiner
-    distinct-(word, doc) pairs per batch, ONE hash-bucketed shuffle,
+    distinct-(word, doc) pairs per batch, ONE sorted-run shuffle,
     vectorized run-length reduce — skew-proof on degenerate tokens
     (stages/textstats.inverted_index)."""
     from ..stages.textstats import inverted_index
@@ -3178,7 +3176,7 @@ def q_pages_content_delta(sf_dir: str):
     pages (every 10th url re-crawled +1h), with every 20th doc's
     re-crawl text actually mutated (' v2') so both delta classes
     occur. Only hashes ride the lag shuffle, never page text
-    (stages/sampling.lag_per_group — hash-bucketed, skew-proof)."""
+    (stages/sampling.lag_per_group — one sorted-run shuffle)."""
     import hashlib
 
     from ..stages.sampling import lag_per_group
@@ -4040,8 +4038,8 @@ def q_events_mad_outliers(sf_dir: str):
 def q_events_trigrams(sf_dir: str):
     """Sequence mining one step past the transition matrix: per-user
     consecutive event-type TRIGRAMS, counted corpus-wide — the n=3
-    instance of stages/sequences.event_ngrams (hash-bucketed,
-    skew-proof, deterministic (ts, event_id) tie-break)."""
+    instance of stages/sequences.event_ngrams (one sorted-run
+    shuffle, deterministic (ts, event_id) tie-break)."""
     import ray.data as rd
 
     from ..stages.sequences import event_ngrams
@@ -5669,7 +5667,7 @@ def q_host_mutual_links(sf_dir: str):
     """Reciprocal host links over the link corpus — link-exchange
     detection (stages/linkgraph.mutual_links): unordered pairs with
     both directed edges present, plus each direction's link count.
-    One bucketed exchange on the unbounded pair key."""
+    One sorted-run exchange on the pair's min endpoint."""
     from ..sources.pages import synth_link_pages_dataset
     from ..stages import linkgraph as lg
 
@@ -5935,8 +5933,8 @@ def q_events_zorder(sf_dir: str):
 def q_events_funnel(sf_dir: str):
     """Ordered funnel view→click→purchase per user: each step must
     occur strictly after the previous step's FIRST completion (the
-    product-analytics funnel). One hash-bucketed shuffle; per stage
-    one vectorized segment-min over the bucket
+    product-analytics funnel). One sorted-run shuffle; per stage one
+    vectorized segment-min over the sorted block
     (stages/sequences.ordered_funnel) — no per-user task."""
     import ray.data as rd
 
@@ -6242,8 +6240,8 @@ def q_source_contamination(sf_dir: str):
     """Cross-source contamination matrix: distinct winnowing
     fingerprints shared by each source pair — which feeds copy from
     each other / share boilerplate, the decontamination-planning view.
-    One fp-hash bucket shuffle; in-bucket lexsort handles distinct
-    (fp, source) AND per-fp pair generation by length class
+    One sorted-run shuffle on the fingerprint; a per-block lexsort
+    handles distinct (fp, source) AND per-fp pair generation by length class
     (stages/tiering.source_contamination)."""
     from ..stages.tiering import source_contamination
 
@@ -6304,13 +6302,13 @@ def q_pipeline_stage_report(sf_dir: str):
 def q_events_gap_stats(sf_dir: str):
     """Per-user inter-event gap statistics (n_gaps, min/max/sum µs) —
     the session-health profile behind every bot/trap heuristic. Same
-    skew-proof shape as events_cumulative: one (user, ts, event_id)
-    sort per hash bucket, gaps by a single shifted subtraction, run
+    shape as events_cumulative: one (user, ts, event_id) sort per
+    sorted block, gaps by a single shifted subtraction, run
     stats via reduceat — no per-user task."""
     import numpy as np
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_map_groups
+    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts"])
@@ -6356,8 +6354,8 @@ def q_events_gap_stats(sf_dir: str):
             "sum_gap_us": pa.array(sums, pa.int64()),
         })
 
-    return bucketed_map_groups(ev, "user_id", _gaps,
-                               out_schema=out_schema)
+    return sorted_runs(ev, "user_id", _gaps,
+                       out_schema=out_schema)
 
 
 QUERIES: Dict[str, callable] = {

@@ -8,12 +8,10 @@ in MapReduce"): each round every node adopts the min label among
 itself and its neighbors, then ``label(v) ← label(label(v))``, so label
 paths halve and the round count is O(log diameter).
 
-Every exchange has one shape: ``sort(key).map_batches(kernel,
-batch_format="pyarrow", batch_size=None)``. A sort-reduce partition
-arrives as ONE block and a range partition never splits a key run, so
-each kernel sees every row of its keys and works on the whole block
-with Arrow compute — no bucket column, no hasher, no pandas, no
-per-group call. A lookup that misses (a key run split after all) raises
+Every exchange is one ``shuffle.sorted_runs``: one sort on the key,
+then the kernel once per sorted block, which holds every row of its
+keys; it works on the whole block with Arrow compute — no pandas, no
+per-key call. A lookup that misses (a key run split after all) raises
 instead of dropping a vote. Labels keep the node's Arrow type: int64
 stays exact at any value, strings stay strings.
 
@@ -33,15 +31,12 @@ import time
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import sorted_runs
+
 _logger = logging.getLogger(__name__)
 
 # blocks per per-round label table (see _mat_small)
 LABEL_BLOCKS = 16
-
-
-def _sorted_map(ds, key: str, kernel):
-    return ds.sort(key).map_batches(
-        kernel, batch_format="pyarrow", batch_size=None)
 
 
 def _mat_small(ds):
@@ -174,7 +169,7 @@ def connected_components(edges_ds, a_col: str, b_col: str,
 
     # round 0: label(v) = min(v, neighbors) — edges keyed by dst, each
     # voting min(src, dst); the symmetric closure covers src itself
-    labels = _mat_small(_sorted_map(edges.map_batches(
+    labels = _mat_small(sorted_runs(edges.map_batches(
         lambda t: pa.table({
             "node": t.column("dst"),
             "label": pc.min_element_wise(t.column("key"), t.column("dst")),
@@ -182,16 +177,16 @@ def connected_components(edges_ds, a_col: str, b_col: str,
         }), batch_format="pyarrow"), "node", _min_labels))
     for rnd in range(max_rounds):
         t0 = time.perf_counter()
-        mins = _mat_small(_sorted_map(_sorted_map(
-            edges.union(labels.map_batches(_label_rows,
-                                           batch_format="pyarrow")),
+        mins = _mat_small(sorted_runs(sorted_runs(
+            [edges, labels.map_batches(_label_rows,
+                                       batch_format="pyarrow")],
             "key", _vote), "node", _min_labels))
         changed = mins.sum("changed") or 0
         _logger.info("connected_components round %d: %d changed, %.2fs",
                      rnd + 1, changed, time.perf_counter() - t0)
         if changed == 0:
             return _out(mins)
-        labels = _mat_small(_sorted_map(
+        labels = _mat_small(sorted_runs(
             mins.map_batches(_jump_rows, batch_format="pyarrow"),
             "key", _jump))
     if strict:

@@ -288,8 +288,7 @@ def _lines_with_pos(t: pa.Table, text_col: str, delim: str):
 
 
 def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
-                           text_col: str = "text", delim: str = "\n",
-                           n_coarse: int = 64):
+                           text_col: str = "text", delim: str = "\n"):
     """CCNet-style corpus-wide line (paragraph) dedup: every distinct
     non-empty line survives in exactly ONE place — its globally first
     occurrence by (doc_id, position) — and is stripped everywhere
@@ -306,10 +305,11 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
     Shape (two co-partition shuffles, no broadcast, no driver state):
 
     1. explode (line_hash, doc_id, pos) — 24 bytes/line, never text —
-       and pick each hash's winner inside a coarse-bucket
-       ``map_groups``; non-winner occurrences emit (doc_id, pos) drops;
-    2. drops ∪ document texts co-partitioned by doc_id; per bucket a
-       vectorized positional mask rebuilds the text. Texts move ONCE.
+       and pick each hash's winner in one ``shuffle.sorted_runs`` on
+       the hash; non-winner occurrences emit (doc_id, pos) drops;
+    2. drops ∪ document texts, one ``sorted_runs`` on doc_id; per
+       sorted block a vectorized positional mask rebuilds the text.
+       Texts move ONCE.
 
     Lines travel as fnv64+fmix64 hashes (CCNet shuffles hashes too): a
     collision merges two distinct lines and wrongly drops the later
@@ -321,7 +321,7 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
     import pyarrow.compute as pc
 
     from ..functions.hashing import fnv64_bulk
-    from .spandedup import _with_coarse
+    from .shuffle import sorted_runs
 
     def _explode(t: pa.Table) -> pa.Table:
         row, pos, flat = _lines_with_pos(t, text_col, delim)
@@ -335,9 +335,7 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
             "pos": pa.array(pos[ne], pa.int64()),
         })
 
-    occ = docs_ds.map_batches(
-        _explode, batch_format="pyarrow"
-    ).map_batches(_with_coarse("lh", n_coarse), batch_format="pyarrow")
+    occ = docs_ds.map_batches(_explode, batch_format="pyarrow")
 
     _empty_pos = pd.DataFrame({
         "doc_id": pd.Series([], dtype="int64"),
@@ -355,8 +353,7 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
         out = s.loc[~winner, ["doc_id", "pos"]]
         return out.astype({"doc_id": "int64", "pos": "int64"})
 
-    drops = occ.groupby("coarse").map_groups(
-        _drops, batch_format="pandas")
+    drops = sorted_runs(occ, "lh", lambda t: _drops(t.to_pandas()))
 
     def _pos_rows(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -374,12 +371,8 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
             "kind": pa.array(np.ones(t.num_rows, np.int8)),
         })
 
-    rows = drops.map_batches(
-        _pos_rows, batch_format="pyarrow"
-    ).union(
-        docs_ds.map_batches(_text_rows, batch_format="pyarrow")
-    ).map_batches(_with_coarse("doc_id", n_coarse),
-                  batch_format="pyarrow")
+    rows = [drops.map_batches(_pos_rows, batch_format="pyarrow"),
+            docs_ds.map_batches(_text_rows, batch_format="pyarrow")]
 
     _empty_out = pd.DataFrame({
         "doc_id": pd.Series([], dtype="int64"),
@@ -435,5 +428,4 @@ def dedup_lines_keep_first(docs_ds, id_col: str = "doc_id",
             "n_dropped": lens - kept_counts.astype(np.int64),
         })
 
-    return rows.groupby("coarse").map_groups(
-        _rebuild, batch_format="pandas")
+    return sorted_runs(rows, "doc_id", lambda t: _rebuild(t.to_pandas()))

@@ -8,10 +8,10 @@ Scale design (the part that matters at 100 TB):
     IS the result (hash, keeper, dup_count).
   - **MinHash+LSH**: per-batch numpy minhash signatures → explode to
     (band_id, band_hash, doc_id) rows (b small ints per doc — tiny vs
-    the documents) → groupby a COARSE key (band_hash % 512, see
-    N_COARSE_BUCKETS) with a vectorized fine-key groupby inside each
-    group → candidate pairs → verify. The only all-to-all moves
-    b×8-byte keys per doc.
+    the documents) → one ``shuffle.sorted_runs`` on (band_id,
+    band_hash), whose kernel finds the band runs of each sorted block
+    with one numpy lexsort → candidate pairs → verify. The only
+    all-to-all moves b×8-byte keys per doc.
   - **SimHash**: 64-bit signature per doc → 4×16-bit band blocking for
     hamming ≤ 3 candidates → verify hamming on the 8-byte sigs.
   - **n-gram Jaccard**: exact verification on candidate pairs only —
@@ -174,9 +174,19 @@ class MinHasher:
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Batch → batch + ``minhash``. A zero-shingle (sub-k) doc needs
+        its ``doc_id`` for a unique sentinel signature: without the
+        column it would get the all-zero signature and band-collide
+        with every other empty doc, so that raises."""
         texts = batch.column("text").to_pylist()
         ids = (batch.column("doc_id").to_numpy(zero_copy_only=False)
                if "doc_id" in batch.column_names else None)
+        if ids is None and any(
+                len(_shingle_hashes(t, self.k, pad=False)) == 0
+                for t in texts):
+            raise ValueError(
+                "MinHasher: a doc shorter than shingle_k needs a "
+                "doc_id column for its sentinel signature")
         sigs = self._signatures(texts, ids)
         return batch.append_column(
             "minhash",
@@ -262,15 +272,6 @@ def explode_bands(batch: pa.Table, n_bands: int = 16,
     return pa.table(cols)
 
 
-# Number of coarse buckets for pair generation. Grouping directly by
-# (band_id, band_hash) means one Python map_groups call per bucket —
-# ~16 buckets/doc → observed 6 ms/doc of pure per-group overhead.
-# Instead shuffle by a COARSE key (band_hash % N_COARSE) and find the
-# fine-key runs inside each group with one numpy lexsort: the
-# Python-call count drops from O(docs×bands) to O(N_COARSE).
-N_COARSE_BUCKETS = 512
-
-
 # Dense-pair budget per fine (band, hash) bucket. A degenerate
 # all-equal bucket (a viral boilerplate page repeated millions of
 # times at 100 TB) must not generate O(n²) pairs; but members beyond
@@ -343,9 +344,9 @@ def _dense_and_star(ln: int, cap: int):
     return ia, ib
 
 
-def _pairs_from_coarse_group(g: pa.Table) -> pa.Table:
-    """One coarse bucket → pairs from every fine (band_id, band_hash)
-    bucket inside it. Pair generation is numpy triu indices per run —
+def _pairs_from_band_runs(g: pa.Table) -> pa.Table:
+    """One sorted block → pairs from every (band_id, band_hash) run
+    inside it. Pair generation is numpy triu indices per run —
     a degenerate all-equal bucket (cap² dense pairs + star links for
     the overflow) stays vectorized."""
     cap = PAIR_RUN_CAP
@@ -377,31 +378,18 @@ def minhash_lsh_candidates(docs_ds, n_perm: int = 64, n_bands: int = 8,
         fn_kwargs={"n_perm": n_perm, "shingle_k": shingle_k},
         batch_format="pyarrow",
     ).select_columns(["doc_id", "minhash"])
-    def _explode_with_coarse(t: pa.Table) -> pa.Table:
-        out = explode_bands(t, n_bands)
-        import pyarrow.compute as pc
+    from .shuffle import pair_counts, sorted_runs
 
-        coarse = pc.cast(
-            pc.bit_wise_and(out.column("band_hash"),
-                            pa.scalar(N_COARSE_BUCKETS - 1, pa.uint64())),
-            pa.int32(),
-        )
-        return out.append_column("coarse", coarse)
-
-    bands = sigs.map_batches(_explode_with_coarse, batch_format="pyarrow")
-    pairs = bands.groupby("coarse").map_groups(
-        _pairs_from_coarse_group, batch_format="pyarrow"
-    )
-    # distinct pairs (a pair can collide in several bands) — bucketed
-    # count, not a keyed groupby over millions of tiny pair groups
-    # (§10.4; same shape as setjoin._distinct_pairs)
-    from .shuffle import pair_counts_bucketed
-
-    return pair_counts_bucketed(pairs)
+    bands = sigs.map_batches(explode_bands, fn_kwargs={"n_bands": n_bands},
+                             batch_format="pyarrow")
+    pairs = sorted_runs(bands, ["band_id", "band_hash"],
+                        _pairs_from_band_runs)
+    # distinct pairs (a pair can collide in several bands)
+    return pair_counts(pairs)
 
 
-def _cross_pairs_from_coarse_group(g: pa.Table) -> pa.Table:
-    """Like ``_pairs_from_coarse_group`` but emits only pairs that
+def _cross_pairs_from_band_runs(g: pa.Table) -> pa.Table:
+    """Like ``_pairs_from_band_runs`` but emits only pairs that
     CROSS corpus sides, normalized to (doc_a = side-0/old doc,
     doc_b = side-1/new doc).
 
@@ -471,25 +459,15 @@ def minhash_cross_candidates(old_ds, new_ds, n_perm: int = 64,
         fn_kwargs={"n_perm": n_perm, "shingle_k": shingle_k},
         batch_format="pyarrow",
     ).select_columns(["doc_id", "minhash", "side"])
+    from .shuffle import pair_counts, sorted_runs
 
-    def _explode_with_coarse(t: pa.Table) -> pa.Table:
-        out = explode_bands(t, n_bands, carry_cols=("side",))
-        import pyarrow.compute as pc
-
-        coarse = pc.cast(
-            pc.bit_wise_and(out.column("band_hash"),
-                            pa.scalar(N_COARSE_BUCKETS - 1, pa.uint64())),
-            pa.int32(),
-        )
-        return out.append_column("coarse", coarse)
-
-    bands = sigs.map_batches(_explode_with_coarse, batch_format="pyarrow")
-    pairs = bands.groupby("coarse").map_groups(
-        _cross_pairs_from_coarse_group, batch_format="pyarrow"
-    )
-    from .shuffle import pair_counts_bucketed
-
-    return pair_counts_bucketed(pairs)
+    bands = sigs.map_batches(
+        explode_bands, fn_kwargs={"n_bands": n_bands,
+                                  "carry_cols": ("side",)},
+        batch_format="pyarrow")
+    pairs = sorted_runs(bands, ["band_id", "band_hash"],
+                        _cross_pairs_from_band_runs)
+    return pair_counts(pairs)
 
 
 def minhash_cross_corpus_pairs(old_ds, new_ds, threshold: float = 0.8,
@@ -507,12 +485,13 @@ def minhash_cross_corpus_pairs(old_ds, new_ds, threshold: float = 0.8,
     return _verify_pairs_copartition(cands, texts, pct, shingle_k)
 
 
-def flag_new_docs(new_ds, cross_pairs, n_coarse: int = 64):
+def flag_new_docs(new_ds, cross_pairs):
     """(doc_id, is_dup_of_old) for every new-corpus document — the
     keep/drop decision of incremental dedup, id-only co-partition (no
-    text moves): new ids ∪ verified pair doc_b ids, one coarse
-    groupby, vectorized membership per bucket."""
-    import pyarrow.compute as pc
+    text moves): new ids ∪ verified pair doc_b ids, one
+    ``shuffle.sorted_runs`` on doc_id, vectorized membership per
+    sorted block."""
+    from .shuffle import sorted_runs
 
     def _ids(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -526,16 +505,8 @@ def flag_new_docs(new_ds, cross_pairs, n_coarse: int = 64):
             "kind": pa.array(np.ones(t.num_rows, np.int8)),
         })
 
-    def _coarse(t: pa.Table) -> pa.Table:
-        c = pc.cast(
-            pc.bit_wise_and(t.column("doc_id"),
-                            pa.scalar(n_coarse - 1, pa.int64())),
-            pa.int32())
-        return t.append_column("coarse", c)
-
-    rows = new_ds.map_batches(_ids, batch_format="pyarrow").union(
-        cross_pairs.map_batches(_dups, batch_format="pyarrow")
-    ).map_batches(_coarse, batch_format="pyarrow")
+    rows = [new_ds.map_batches(_ids, batch_format="pyarrow"),
+            cross_pairs.map_batches(_dups, batch_format="pyarrow")]
 
     _empty = pa.table({
         "doc_id": pa.array([], pa.int64()),
@@ -559,7 +530,7 @@ def flag_new_docs(new_ds, cross_pairs, n_coarse: int = 64):
             "is_dup_of_old": pa.array(isin.astype(np.int64)),
         })
 
-    return rows.groupby("coarse").map_groups(_flag, batch_format="pyarrow")
+    return sorted_runs(rows, "doc_id", _flag, out_schema=_empty.schema)
 
 
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
@@ -582,7 +553,7 @@ def jaccard_counts(text_a: str, text_b: str, k: int = 5):
 
     Scalar reference kernel: kept for tests and one-off calls. The
     distributed verify stage does NOT call this per pair — it shingles
-    each unique doc once per bucket and computes all intersections with
+    each unique doc once per sorted block and computes all intersections with
     one lexsort (`_pair_jaccard_counts`), the setjoin `_inter_counts`
     pattern."""
     sa, sb = _shingle_hashes(text_a, k), _shingle_hashes(text_b, k)
@@ -630,14 +601,13 @@ def _pair_jaccard_counts(doc_a: np.ndarray, doc_b: np.ndarray,
 
 def attach_pair_column(cands, vals, val_col: str = "text",
                        id_col: str = "doc_id",
-                       val_type: pa.DataType | None = None,
-                       n_coarse: int = N_COARSE_BUCKETS):
+                       val_type: pa.DataType | None = None):
     """Attach a per-doc value to BOTH sides of candidate (doc_a, doc_b)
-    pairs — via two coarse-bucket groupby shuffles instead of Ray's
-    hash-join operator. Returns a Dataset with columns
-    ``(doc_a, doc_b, side, <val_col>, coarse)`` where ``coarse`` is the
-    pair's bucket: ``groupby("coarse")`` puts a pair's two side rows in
-    one group (sorted by (doc_a, doc_b, side) they are adjacent).
+    pairs — via one ``shuffle.sorted_runs`` on the doc id instead of
+    Ray's hash-join operator. Returns a Dataset with columns
+    ``(doc_a, doc_b, side, <val_col>)``; a ``sorted_runs`` on
+    ``doc_a`` puts a pair's two side rows in one block (sorted by
+    (doc_a, doc_b, side) they are adjacent).
 
     The join operator pins ``num_partitions`` aggregator actors per
     join; at small candidate counts that is pure overhead (measured
@@ -647,13 +617,13 @@ def attach_pair_column(cands, vals, val_col: str = "text",
 
       pairs → 2 rows each (key=doc_a side=0, key=doc_b side=1)
       vals  → 1 row each (key=id, side=-1, val)
-      groupby(key % n_coarse): map val onto its pairs' rows (vector-
-        ized searchsorted per bucket — no per-group Python calls)
+      sorted_runs(key): map val onto its pairs' rows (vectorized
+        searchsorted per sorted block — no per-key Python calls)
 
     Data moved: vals once + pair rows twice — strictly less than the
-    two hash joins (vals twice). Each bucket holds ~N/n_coarse rows,
-    so worker memory stays bounded at cluster scale; raise ``n_coarse``
-    with the corpus."""
+    two hash joins (vals twice)."""
+    from .shuffle import sorted_runs
+
     if val_type is None:
         sch = vals.schema()
         t0 = dict(zip(sch.names, sch.types))[val_col]
@@ -684,23 +654,8 @@ def attach_pair_column(cands, vals, val_col: str = "text",
             val_col: t.column(val_col).cast(val_type),
         })
 
-    def _with_coarse(col):
-        def _f(t: pa.Table) -> pa.Table:
-            c = pc.cast(
-                pc.bit_wise_and(
-                    pc.cast(t.column(col), pa.uint64()),
-                    pa.scalar(n_coarse - 1, pa.uint64()),
-                ),
-                pa.int32(),
-            )
-            return t.append_column("coarse", c)
-        return _f
-
-    rows = cands.map_batches(
-        _explode_sides, batch_format="pyarrow"
-    ).union(
-        vals.map_batches(_val_rows, batch_format="pyarrow")
-    ).map_batches(_with_coarse("key"), batch_format="pyarrow")
+    rows = [cands.map_batches(_explode_sides, batch_format="pyarrow"),
+            vals.map_batches(_val_rows, batch_format="pyarrow")]
 
     _empty_attached = pa.table({
         "doc_a": pa.array([], pa.int64()),
@@ -712,7 +667,7 @@ def attach_pair_column(cands, vals, val_col: str = "text",
     def _attach(t: pa.Table) -> pa.Table:
         # pyarrow-native: value bytes never cross an Arrow→pandas
         # boundary (r3 verdict #5); the lookup is a sorted searchsorted
-        # on the bucket's source keys, the gather is an Arrow take.
+        # on the block's source keys, the gather is an Arrow take.
         t = t.combine_chunks()
         side = t.column("side").to_numpy(zero_copy_only=False)
         keys = t.column("key").to_numpy(zero_copy_only=False)
@@ -735,25 +690,19 @@ def attach_pair_column(cands, vals, val_col: str = "text",
             val_col: t.column(val_col).take(val_src),
         })
 
-    return rows.groupby("coarse").map_groups(
-        _attach, batch_format="pyarrow"
-    ).map_batches(
-        # re-key the shuffle by the PAIR so both sides land together
-        _with_coarse("doc_a"),
-        batch_format="pyarrow",
-    )
+    return sorted_runs(rows, "key", _attach)
 
 
-def _verify_pairs_copartition(cands, texts, pct: int, shingle_k: int,
-                              n_coarse: int = N_COARSE_BUCKETS):
+def _verify_pairs_copartition(cands, texts, pct: int, shingle_k: int):
     """Attach both texts to each candidate (doc_a, doc_b) pair (see
     :func:`attach_pair_column` for the co-partition shape) and keep
-    pairs with exact Jaccard ≥ pct/100: groupby(pair % n_coarse), sort
+    pairs with exact Jaccard ≥ pct/100: ``sorted_runs`` on doc_a, sort
     (doc_a, doc_b, side) so a pair's rows are adjacent, shingle each
     UNIQUE doc once, then one lexsort computes every pair's
     (inter, union) at once."""
-    attached = attach_pair_column(cands, texts, "text",
-                                  n_coarse=n_coarse)
+    from .shuffle import sorted_runs
+
+    attached = attach_pair_column(cands, texts, "text")
 
     _empty_verified = pa.table({
         "doc_a": pa.array([], pa.int64()),
@@ -762,7 +711,7 @@ def _verify_pairs_copartition(cands, texts, pct: int, shingle_k: int,
     })
 
     def _verify(t: pa.Table) -> pa.Table:
-        # Shingle ONCE per unique doc in the bucket, then compute every
+        # Shingle ONCE per unique doc in the block, then compute every
         # pair's (inter, union) with one lexsort (_pair_jaccard_counts)
         # — no per-pair Python, no re-shingling a doc per pair (r3
         # verdict #1; same kernel shape as setjoin._inter_counts).
@@ -801,9 +750,7 @@ def _verify_pairs_copartition(cands, texts, pct: int, shingle_k: int,
             "jaccard_pct": pa.array(jac, pa.int64()),
         })
 
-    return attached.groupby("coarse").map_groups(
-        _verify, batch_format="pyarrow"
-    )
+    return sorted_runs(attached, "doc_a", _verify)
 
 
 def minhash_dedup_pairs(docs_ds, threshold: float = 0.8, n_perm: int = 64,
@@ -818,8 +765,8 @@ def minhash_dedup_pairs(docs_ds, threshold: float = 0.8, n_perm: int = 64,
     broadcast, no pinned join-aggregator actors. The only things that
     move are the candidate pairs plus each text once.
 
-    ``num_partitions`` is kept for API compatibility; the coarse-
-    bucket shuffle sizes itself.
+    ``num_partitions`` is kept for API compatibility; the sort sizes
+    itself.
     """
     cands = minhash_lsh_candidates(
         docs_ds, n_perm, n_bands, shingle_k
@@ -951,16 +898,14 @@ def simhash_dedup_pairs(docs_ds, max_hamming: int = 3):
         vals = ((sg[:, None] >> shifts) & np.uint64(0xFFFF)).astype(np.int64)
         band = np.tile(np.arange(4, dtype=np.int64), n)
         flat_vals = vals.reshape(-1)
-        coarse = (band * 65536 + flat_vals) % N_COARSE_BUCKETS
         return pa.table({
             "band_id": pa.array(band.astype(np.int32)),
             "band_val": pa.array(flat_vals.astype(np.int32)),
             "doc_id": pa.array(np.repeat(ids, 4)),
             "simhash": pa.array(np.repeat(sg, 4)),
-            "coarse": pa.array(coarse.astype(np.int32)),
         })
 
-    def _pairs_coarse(g: pa.Table) -> pa.Table:
+    def _pairs(g: pa.Table) -> pa.Table:
         # numpy pair generation per fine bucket + vectorized popcount
         # (unpackbits over the xor'd signatures) — the Python double
         # loop was the hot spot on collision-heavy corpora
@@ -994,13 +939,11 @@ def simhash_dedup_pairs(docs_ds, max_hamming: int = 3):
                          "doc_b": pa.array(b_, pa.int64()),
                          "hamming": pa.array(hm, pa.int64())})
 
-    pairs = sigs.map_batches(_explode, batch_format="pyarrow").groupby(
-        "coarse"
-    ).map_groups(_pairs_coarse, batch_format="pyarrow")
-    from .shuffle import pair_counts_bucketed
+    from .shuffle import pair_counts, sorted_runs
 
-    return pair_counts_bucketed(
-        pairs.select_columns(["doc_a", "doc_b"]))
+    pairs = sorted_runs(sigs.map_batches(_explode, batch_format="pyarrow"),
+                        ["band_id", "band_val"], _pairs)
+    return pair_counts(pairs)
 
 
 # ---------- near-dup clustering (connected components) --------------------

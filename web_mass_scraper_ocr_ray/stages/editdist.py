@@ -19,9 +19,9 @@ Distributed shape:
      (vocab rows shuffle once — Heaps-law sublinear in corpus size),
   2. deletion-variant explosion is a stateless map over the DISTINCT
      vocab (linear ×(len+1) replication, bounded by ``max_len``),
-  3. ONE keyed exchange on hash(variant); pairs are generated AND
-     verified inside the per-bucket kernel (tokens are short strings,
-     so pairs carry both spellings — no join-back),
+  3. ONE ``shuffle.sorted_runs`` on hash(variant); pairs are
+     generated AND verified inside the per-block kernel (tokens are
+     short strings, so pairs carry both spellings — no join-back),
   4. a final distinct on (tok_a, tok_b) since one pair may share
      several deletion variants.
 
@@ -39,11 +39,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import fnv64_bulk
-from .shuffle import two_phase_aggregate
+from .shuffle import sorted_runs, two_phase_aggregate
 
 _logger = logging.getLogger(__name__)
 
-N_BUCKETS = 64
 RUN_WARN = 10_000
 
 
@@ -104,7 +103,7 @@ def _augment_ocr_variants(vocab_ds, min_len: int = 4):
     return two_phase_aggregate(aug, "tok", {"df": (None, "count")})
 
 
-def editdist1_pairs(vocab_ds, n_buckets: int = N_BUCKETS):
+def editdist1_pairs(vocab_ds):
     """DISTINCT-token Dataset (column ``tok``) → every unordered pair
     within Levenshtein distance exactly 1, as ``(tok_a, tok_b)`` with
     ``tok_a < tok_b``."""
@@ -119,13 +118,9 @@ def editdist1_pairs(vocab_ds, n_buckets: int = N_BUCKETS):
             for i in range(len(tok)):
                 v_tok.append(tok)
                 v_str.append(tok[:i] + tok[i + 1:])
-        h = fnv64_bulk(v_str)
-        b = ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(n_buckets)
         return pa.table({
             "tok": pa.array(v_tok, pa.string()),
-            "vh": pa.array(h.view(np.int64)),
-            "_b": pa.array(b.astype(np.int32)),
+            "vh": pa.array(fnv64_bulk(v_str).view(np.int64)),
         })
 
     def _pairs(g: pa.Table) -> pa.Table:
@@ -155,9 +150,8 @@ def editdist1_pairs(vocab_ds, n_buckets: int = N_BUCKETS):
         return pa.table({"tok_a": pa.array(a_out, pa.string()),
                          "tok_b": pa.array(b_out, pa.string())})
 
-    cands = vocab_ds.select_columns(["tok"]).map_batches(
-        _variants, batch_format="pyarrow"
-    ).groupby("_b").map_groups(_pairs, batch_format="pyarrow")
+    cands = sorted_runs(vocab_ds.select_columns(["tok"]).map_batches(
+        _variants, batch_format="pyarrow"), "vh", _pairs)
     # one pair can share several deletion variants — distinct
     return cands.groupby(["tok_a", "tok_b"]).aggregate(
         Count(alias_name="_n")).drop_columns(["_n"])

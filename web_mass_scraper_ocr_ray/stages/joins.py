@@ -1,26 +1,33 @@
-"""Temporal join operators — as-of join and range(-count) join.
+"""Join operators — keyed (anti, semi, update, equi) and temporal
+(as-of, range-count, window-pair).
 
-Ray Data has no native as-of or interval join, so both are built from
-the same co-partition idiom the dedup verify path uses (dedup.py):
-tag each side, align schemas, ``union`` the two Datasets, add a
-coarse partition key, and run ONE ``groupby(bucket).map_groups`` in
-which the actual join kernel is vectorized pandas/numpy. That shape
-is a single all-to-all shuffle of exactly the joined columns — no
-driver-side materialization, no per-round broadcast.
+Every join here has one shape: tag each side, align schemas, ``union``
+the two Datasets and run ONE ``shuffle.sorted_runs`` on the join key,
+whose kernel joins the whole key runs of each sorted block with
+vectorized Arrow/numpy (or one pandas call per block). That is a
+single all-to-all of exactly the joined columns — no driver-side
+materialization, no per-round broadcast, no bucket column. We do not
+use Ray Data's native ``Dataset.join``: it pins one aggregator actor
+per partition and deadlocked two-join pipelines on small clusters
+(SURVEY §9.2).
 
-Partitioning assumptions (documented per the build brief):
+Partitioning, per temporal join:
 
-- ``asof_join`` co-partitions by ``hash(key) % n_buckets`` only: every
-  row of one join key lands in one group, so group size is bounded by
-  the hottest key. For billion-row single keys, extend the bucket to
-  (key, coarse-time) and replicate each right row into the NEXT time
-  bucket as well (exactly what ``range_count_join`` does) so a group
-  only needs a bounded time slice plus one carry-over row per bucket.
-- ``range_count_join`` co-partitions by (key, floor(on / window)):
-  bounded groups even for hot keys, at the cost of duplicating the
-  right side into at most 2 buckets (its own and the next), since a
-  backward window of length W can only reach the previous bucket when
-  the bucket width IS W.
+- ``asof_join`` sorts by the key only: every row of one join key lands
+  in one block, so memory is bounded by the hottest key. For
+  billion-row single keys, sort by (key, coarse-time) and replicate
+  each right row into the NEXT time slice as well (exactly what
+  ``range_count_join`` does) so a run only needs a bounded time slice
+  plus one carry-over row per slice.
+- ``range_count_join`` and ``window_pair_join`` sort by (key,
+  floor(on / window)) packed into one int64: bounded runs even for hot
+  keys, at the cost of duplicating one side into at most 2 slices (its
+  own and the next), since a window of length W can only reach the
+  neighbouring slice when the slice width IS W.
+
+String join keys must be non-null (a null raises ``ValueError``
+naming the column); integer nulls form one run and join as Arrow's
+``is_in`` / pandas ``merge`` match them.
 
 Reference has no temporal joins (sequential scraper: reference
 src/scraper_app/scraper.py processes URL-at-a-time); these extend the
@@ -36,16 +43,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Default coarse-bucket count for the keyed shuffle. At cluster scale
-# set this to ~4x the worker count so the groupby balances.
-N_JOIN_BUCKETS = 64
+from .shuffle import sorted_runs
 
 
-def _tag_side(side: int, all_cols: list, schema_types: dict,
-              n_buckets: int, key: str):
+def _tag_side(side: int, all_cols: list, schema_types: dict):
     """map_batches body: project to the unified schema (missing
-    columns become typed nulls), add the side tag and the coarse
-    key-hash bucket."""
+    columns become typed nulls) and add the side tag."""
 
     def _f(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -56,27 +59,13 @@ def _tag_side(side: int, all_cols: list, schema_types: dict,
             else:
                 cols[name] = pa.nulls(n, schema_types[name])
         cols["side"] = pa.array(np.full(n, side, np.int8()))
-        keys = pc.cast(t.column(key), pa.uint64())
-        # Fibonacci multiplicative hash — spreads sequential int keys
-        # across buckets without a byte-level hash (uint64 multiply
-        # wraps, which is the intended mixing).
-        mixed = pc.multiply(keys, pa.scalar(0x9E3779B97F4A7C15,
-                                            pa.uint64()))
-        # n_buckets is a power of two, so the mod is a bit mask on the
-        # HIGH bits (the multiplicative hash concentrates entropy there)
-        bucket = pc.bit_wise_and(
-            pc.shift_right(mixed, pa.scalar(np.uint64(32), pa.uint64())),
-            pa.scalar(np.uint64(n_buckets - 1), pa.uint64()),
-        )
-        cols["bucket"] = pc.cast(bucket, pa.int64())
         return pa.table(cols)
 
     return _f
 
 
 def asof_join(left_ds, right_ds, key: str, on: str,
-              left_cols: Sequence[str], right_cols: Sequence[str],
-              n_buckets: int = N_JOIN_BUCKETS):
+              left_cols: Sequence[str], right_cols: Sequence[str]):
     """Backward as-of LEFT join: for each left row, attach the right
     row with the greatest ``on`` <= left ``on`` for the same ``key``.
 
@@ -88,8 +77,6 @@ def asof_join(left_ds, right_ds, key: str, on: str,
     Output columns: left_cols + [f"right_{c}" for c in right_cols].
     Left rows with no qualifying right row keep nulls (LEFT join).
     """
-    if n_buckets & (n_buckets - 1):
-        raise ValueError("n_buckets must be a power of two")
     left_cols = list(left_cols)
     right_cols = list(right_cols)
     r_out = [f"right_{c}" for c in right_cols]
@@ -104,7 +91,7 @@ def asof_join(left_ds, right_ds, key: str, on: str,
     for c, o in zip(right_cols, r_out):
         types[o] = rt[c]
 
-    tag_l = _tag_side(0, all_cols, types, n_buckets, key)
+    tag_l = _tag_side(0, all_cols, types)
 
     def _prep_right(t: pa.Table) -> pa.Table:
         t = t.select([key, on] + [c for c in right_cols
@@ -122,15 +109,13 @@ def asof_join(left_ds, right_ds, key: str, on: str,
                 t = t.append_column(o, t.column(c))
         return t
 
-    tag_r = _tag_side(1, all_cols, types, n_buckets, key)
+    tag_r = _tag_side(1, all_cols, types)
 
-    tagged = left_ds.map_batches(
-        tag_l, batch_format="pyarrow"
-    ).union(
-        right_ds.map_batches(
-            lambda t: tag_r(_prep_right(t)), batch_format="pyarrow"
-        )
-    )
+    tagged = [
+        left_ds.map_batches(tag_l, batch_format="pyarrow"),
+        right_ds.map_batches(lambda t: tag_r(_prep_right(t)),
+                             batch_format="pyarrow"),
+    ]
 
     tie = r_out[0]
 
@@ -152,7 +137,7 @@ def asof_join(left_ds, right_ds, key: str, on: str,
         if len(right) == 0:
             out = sel.copy()
             for c in r_out:
-                # keep the unified group dtype so cross-group concat
+                # keep the unified block dtype so cross-block concat
                 # stays schema-stable
                 out[c] = pd.Series(index=out.index, dtype=g[c].dtype)
             return out[left_cols + r_out].astype(restore)
@@ -165,9 +150,7 @@ def asof_join(left_ds, right_ds, key: str, on: str,
         )
         return out[left_cols + r_out].astype(restore)
 
-    return tagged.groupby("bucket").map_groups(
-        _merge, batch_format="pandas"
-    )
+    return sorted_runs(tagged, key, lambda t: _merge(t.to_pandas()))
 
 
 def range_count_join(left_ds, right_ds, key: str, on: str,
@@ -177,10 +160,10 @@ def range_count_join(left_ds, right_ds, key: str, on: str,
     rows with the same ``key`` and ``on`` in (left.on - window,
     left.on].
 
-    Co-partition by (key, floor(on/window)); each right row is
-    duplicated into its own bucket and the NEXT one, so every left
-    row's full backward window is inside its single group. One
-    shuffle, vectorized ``searchsorted`` per group.
+    Sort by (key, floor(on/window)); each right row is duplicated into
+    its own slice and the NEXT one, so every left row's full backward
+    window is inside its single run. One shuffle, vectorized
+    ``searchsorted`` per sorted block.
     """
     left_cols = list(left_cols)
 
@@ -223,14 +206,13 @@ def range_count_join(left_ds, right_ds, key: str, on: str,
     r_tagged = right_ds.select_columns([key, on]).map_batches(
         _bucketize(1, dup=True), batch_format="pyarrow"
     )
-    tagged = l_tagged.union(r_tagged)
 
-    def _count_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        # ONE coarse bucket holding MANY (key, tbucket) fine groups —
-        # a per-fine-group map_groups would pay ~1 Python call per
-        # (key × window) pair (millions at sf0.1 already); instead the
-        # fine groups are separated by an integer composite key and
-        # the whole coarse group is two vectorized searchsorted calls.
+    def _count_runs(g: pd.DataFrame) -> pd.DataFrame:
+        # ONE sorted block holding MANY (key, tbucket) runs — a
+        # per-run call would pay ~1 Python call per (key × window)
+        # pair (millions at sf0.1 already); instead the runs are
+        # separated by an integer composite key and the whole block is
+        # two vectorized searchsorted calls.
         side = g["side"].to_numpy()
         lmask = side == 0
         left = g[lmask]
@@ -260,9 +242,9 @@ def range_count_join(left_ds, right_ds, key: str, on: str,
         out[count_col] = (hi - lo).astype("int64")
         return out
 
-    # fine key: (key, tbucket) packed into one int64 (key fits 31
-    # bits in our corpora; widen the pack or group on both columns
-    # for wider keys). The SHUFFLE key is a coarse hash of it.
+    # sort key: (key, tbucket) packed into one int64 (key fits 31
+    # bits in our corpora; widen the pack or sort on both columns for
+    # wider keys)
     def _pack(t: pa.Table) -> pa.Table:
         packed = pc.add(
             pc.multiply(pc.cast(t.column(key), pa.int64()),
@@ -270,19 +252,12 @@ def range_count_join(left_ds, right_ds, key: str, on: str,
             pc.add(t.column("tbucket"),
                    pa.scalar(2**20, pa.int64())),
         )
-        mixed = pc.multiply(
-            pc.cast(packed, pa.uint64()),
-            pa.scalar(0x9E3779B97F4A7C15, pa.uint64()))
-        coarse = pc.bit_wise_and(
-            pc.shift_right(mixed, pa.scalar(np.uint64(32), pa.uint64())),
-            pa.scalar(np.uint64(N_JOIN_BUCKETS - 1), pa.uint64()),
-        )
-        return t.append_column("gkey", packed).append_column(
-            "coarse", pc.cast(coarse, pa.int64()))
+        return t.append_column("gkey", packed)
 
-    return tagged.map_batches(_pack, batch_format="pyarrow").groupby(
-        "coarse"
-    ).map_groups(_count_coarse, batch_format="pandas")
+    return sorted_runs(
+        [s.map_batches(_pack, batch_format="pyarrow")
+         for s in (l_tagged, r_tagged)],
+        "gkey", lambda t: _count_runs(t.to_pandas()))
 
 
 def window_pair_join(left_ds, right_ds, key: str, on: str,
@@ -295,16 +270,16 @@ def window_pair_join(left_ds, right_ds, key: str, on: str,
     view→purchase attribution shape. Unlike :func:`range_count_join`
     this EMITS the matched pairs (id, id, gap), not a count.
 
-    Same co-partition trick, mirrored forward: bucket both sides by
+    Same co-partition trick, mirrored forward: slice both sides by
     (key, floor(on/window)); each LEFT row is duplicated into its own
-    bucket and the NEXT one (its forward window spans at most two
-    buckets), right rows stay single — so every (left, right) match
-    co-locates in exactly ONE group and no pair is emitted twice.
-    In-group matching is two vectorized ``searchsorted`` calls over a
+    slice and the NEXT one (its forward window spans at most two
+    slices), right rows stay single — so every (left, right) match
+    co-locates in exactly ONE run and no pair is emitted twice.
+    In-block matching is two vectorized ``searchsorted`` calls over a
     composite (fine-group, ts) key plus ``np.repeat``/arange index
     arithmetic — no Python pair loop (§10.4). Pair volume is the true
     join cardinality (SQL semantics): the window bounds it on real
-    event streams; a degenerate key×window hot spot bounds group
+    event streams; a degenerate key×window hot spot bounds run
     memory exactly like any keyed shuffle here — salt or pre-filter
     the hot side.
 
@@ -340,7 +315,6 @@ def window_pair_join(left_ds, right_ds, key: str, on: str,
     r_tagged = right_ds.select_columns(
         [key, on, right_id_col]).map_batches(
         _tag(1, right_id_col, dup=False), batch_format="pyarrow")
-    tagged = l_tagged.union(r_tagged)
 
     def _pack(t: pa.Table) -> pa.Table:
         # (key, tbucket) packs into ONE int64 as key*2^32 + tbucket +
@@ -366,15 +340,7 @@ def window_pair_join(left_ds, right_ds, key: str, on: str,
                 "group key; widen the window or remap keys")
         packed = pc.add(
             pc.multiply(kcol, pa.scalar(2**32, pa.int64())), shifted)
-        mixed = pc.multiply(
-            pc.cast(packed, pa.uint64()),
-            pa.scalar(0x9E3779B97F4A7C15, pa.uint64()))
-        coarse = pc.bit_wise_and(
-            pc.shift_right(mixed, pa.scalar(np.uint64(32), pa.uint64())),
-            pa.scalar(np.uint64(N_JOIN_BUCKETS - 1), pa.uint64()),
-        )
-        return t.append_column("gkey", packed).append_column(
-            "coarse", pc.cast(coarse, pa.int64()))
+        return t.append_column("gkey", packed)
 
     _empty = pa.table({
         key: pa.array([], pa.int64()),
@@ -427,38 +393,38 @@ def window_pair_join(left_ds, right_ds, key: str, on: str,
             "gap_us": pa.array(ts[ri] - ts[lrows], pa.int64()),
         })
 
-    return tagged.map_batches(_pack, batch_format="pyarrow").groupby(
-        "coarse").map_groups(_match, batch_format="pyarrow")
+    return sorted_runs(
+        [s.map_batches(_pack, batch_format="pyarrow")
+         for s in (l_tagged, r_tagged)],
+        "gkey", _match, out_schema=_empty.schema)
 
 
-# ---- keyed anti-join -------------------------------------------------------
+# ---- keyed joins -----------------------------------------------------------
 
-def _bucket_of(keys_col, n_buckets: int) -> pa.Array:
-    """Coarse shuffle bucket from a key column (integer or string)."""
-    if pa.types.is_integer(keys_col.type):
-        # two's-complement reinterpret (negative int64 keys are legal
-        # — e.g. signed views of 64-bit hashes); identical buckets for
-        # non-negative keys, so pre-existing callers are unchanged
-        keys = pc.cast(keys_col, pa.uint64(),
-                       safe=False) if pa.types.is_signed_integer(
-            keys_col.type) else pc.cast(keys_col, pa.uint64())
-        mixed = pc.multiply(keys, pa.scalar(0x9E3779B97F4A7C15,
-                                            pa.uint64()))
-        bucket = pc.bit_wise_and(
-            pc.shift_right(mixed, pa.scalar(np.uint64(32), pa.uint64())),
-            pa.scalar(np.uint64(n_buckets - 1), pa.uint64()),
-        )
-        return pc.cast(bucket, pa.int64())
-    from ..functions.hashing import fnv64_bulk
+def _key_rows(left_ds, right_keys_ds, on: str, all_cols: list,
+              types: dict):
+    """[left rows (side 0), right keys (side 1)] in the left schema —
+    right rows carry typed nulls in every non-key column."""
 
-    hs = fnv64_bulk(keys_col.to_pylist())
-    return pa.array(
-        ((hs >> np.uint64(32)) & np.uint64(n_buckets - 1)).astype(np.int64)
-    )
+    def _left(t: pa.Table) -> pa.Table:
+        cols = {name: t.column(name) for name in all_cols}
+        cols["side"] = pa.array(np.zeros(t.num_rows, np.int8))
+        return pa.table(cols)
+
+    def _right(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        key = pc.cast(t.column(on), types[on]).combine_chunks()
+        cols = {name: (key if name == on else pa.nulls(n, types[name]))
+                for name in all_cols}
+        cols["side"] = pa.array(np.ones(n, np.int8))
+        return pa.table(cols)
+
+    return [left_ds.map_batches(_left, batch_format="pyarrow"),
+            right_keys_ds.select_columns([on]).map_batches(
+                _right, batch_format="pyarrow")]
 
 
-def anti_join(left_ds, right_keys_ds, on: str,
-              n_buckets: int = N_JOIN_BUCKETS):
+def anti_join(left_ds, right_keys_ds, on: str):
     """LEFT ANTI join: rows of ``left_ds`` whose ``on`` key does NOT
     appear in ``right_keys_ds`` — the hash-partitioned completion of
     SURVEY J2 ("broadcast set (small) or hash-partition anti-join
@@ -469,13 +435,13 @@ def anti_join(left_ds, right_keys_ds, on: str,
     already-scraped skip (reference src/scraper_app/db_utils.py:76-123)
     lifted to a keyed shuffle.
 
-    Shape: both sides co-partition by hash(key) — ONE all-to-all of
-    the left rows plus the right keys; membership inside each bucket
-    is a vectorized Arrow ``is_in``. No driver state, no broadcast;
-    group memory is bounded by the bucket (raise ``n_buckets`` with
-    the corpus). Right-side rows travel as typed nulls in the left
-    schema so the whole path stays zero-copy Arrow (no pandas dtype
-    coercion of nullable int columns).
+    Shape: both sides sort by the key — ONE all-to-all of the left
+    rows plus the right keys; membership inside each sorted block is
+    a vectorized Arrow ``is_in``. No driver state, no broadcast; block
+    memory is bounded by the sort partition (hot keys aside).
+    Right-side rows travel as typed nulls in the left schema so the
+    whole path stays zero-copy Arrow (no pandas dtype coercion of
+    nullable int columns).
     """
     schema = left_ds.schema()
     all_cols = list(schema.names)
@@ -484,26 +450,7 @@ def anti_join(left_ds, right_keys_ds, on: str,
         raise ValueError(f"anti_join key {on!r} not in left columns "
                          f"{all_cols}")
 
-    def _left(t: pa.Table) -> pa.Table:
-        cols = {name: t.column(name) for name in all_cols}
-        cols["side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["bucket"] = _bucket_of(
-            t.column(on).combine_chunks(), n_buckets)
-        return pa.table(cols)
-
-    def _right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = pc.cast(t.column(on), types[on]).combine_chunks()
-        cols = {name: (key if name == on else pa.nulls(n, types[name]))
-                for name in all_cols}
-        cols["side"] = pa.array(np.ones(n, np.int8))
-        cols["bucket"] = _bucket_of(key, n_buckets)
-        return pa.table(cols)
-
-    rows = left_ds.map_batches(_left, batch_format="pyarrow").union(
-        right_keys_ds.select_columns([on]).map_batches(
-            _right, batch_format="pyarrow")
-    )
+    rows = _key_rows(left_ds, right_keys_ds, on, all_cols, types)
 
     def _filter(g: pa.Table) -> pa.Table:
         side = g.column("side")
@@ -513,21 +460,18 @@ def anti_join(left_ds, right_keys_ds, on: str,
         if len(right):
             keep = pc.invert(pc.is_in(left.column(on), value_set=right))
             left = left.filter(keep)
-        return left.drop_columns(["side", "bucket"])
+        return left.drop_columns(["side"])
 
-    return rows.groupby("bucket").map_groups(
-        _filter, batch_format="pyarrow"
-    )
+    return sorted_runs(rows, on, _filter, nulls="raise")
 
 
-def apply_keyed_updates(rows_ds, updates_ds, on: str, col: str,
-                        n_buckets: int = N_JOIN_BUCKETS):
+def apply_keyed_updates(rows_ds, updates_ds, on: str, col: str):
     """LEFT UPDATE join: overwrite ``col`` of ``rows_ds`` with the
     value carried by ``updates_ds`` (columns exactly ``[on, col]``,
     unique keys) wherever keys match; unmatched rows keep their value.
 
-    Same one-shuffle hash co-partition as :func:`anti_join`; inside a
-    bucket the lookup is a numpy searchsorted over the (sorted) update
+    Same one-shuffle co-partition as :func:`anti_join`; inside a
+    sorted block the lookup is a numpy searchsorted over the update
     keys — int64 keys only, which is what a doc_id-keyed decision
     table needs. The point at corpus scale: a skinny decision table
     (key + one small column) can be joined onto wide rows WITHOUT
@@ -547,8 +491,6 @@ def apply_keyed_updates(rows_ds, updates_ds, on: str, col: str,
     def _rows(t: pa.Table) -> pa.Table:
         cols = {name: t.column(name) for name in all_cols}
         cols["side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["bucket"] = _bucket_of(
-            t.column(on).combine_chunks(), n_buckets)
         return pa.table(cols)
 
     def _upd(t: pa.Table) -> pa.Table:
@@ -564,13 +506,11 @@ def apply_keyed_updates(rows_ds, updates_ds, on: str, col: str,
             else:
                 cols[name] = pa.nulls(n, types[name])
         cols["side"] = pa.array(np.ones(n, np.int8))
-        cols["bucket"] = _bucket_of(key, n_buckets)
         return pa.table(cols)
 
-    rows = rows_ds.map_batches(_rows, batch_format="pyarrow").union(
-        updates_ds.select_columns([on, col]).map_batches(
-            _upd, batch_format="pyarrow")
-    )
+    rows = [rows_ds.map_batches(_rows, batch_format="pyarrow"),
+            updates_ds.select_columns([on, col]).map_batches(
+                _upd, batch_format="pyarrow")]
 
     def _apply(g: pa.Table) -> pa.Table:
         side = g.column("side")
@@ -591,16 +531,13 @@ def apply_keyed_updates(rows_ds, updates_ds, on: str, col: str,
             i = base.column_names.index(col)
             base = base.set_column(
                 i, col, pa.array(vals).cast(types[col]))
-        return base.drop_columns(["side", "bucket"])
+        return base.drop_columns(["side"])
 
-    return rows.groupby("bucket").map_groups(
-        _apply, batch_format="pyarrow"
-    )
+    return sorted_runs(rows, on, _apply)
 
 
 def equi_join(left_ds, right_ds, left_on: str, right_on: str,
-              right_cols: Sequence[str], how: str = "inner",
-              n_buckets: int = N_JOIN_BUCKETS):
+              right_cols: Sequence[str], how: str = "inner"):
     """Generic large×large equi-join — the co-partition completion of
     the join family (broadcast lookup J1 stays right while one side
     fits the object store; THIS is the path when neither does).
@@ -617,11 +554,8 @@ def equi_join(left_ds, right_ds, left_on: str, right_on: str,
 
     Shape: same single all-to-all as :func:`anti_join` — tag each
     side, align to the combined schema with typed nulls, union, ONE
-    ``groupby(hash(key)).map_groups``; the per-bucket kernel is a
-    vectorized ``pandas.merge``. We deliberately do NOT use Ray Data's
-    native ``Dataset.join``: it pins one aggregator actor per
-    partition and deadlocks two-join pipelines on small clusters
-    (measured in round 2 — SURVEY §9.2).
+    ``sorted_runs`` on the key; the per-block kernel is a vectorized
+    ``pandas.merge``.
     """
     if how not in ("inner", "left", "outer"):
         raise ValueError(
@@ -655,8 +589,6 @@ def equi_join(left_ds, right_ds, left_on: str, right_on: str,
         for name in right_cols:
             cols[name] = pa.nulls(t.num_rows, rtypes[name])
         cols["side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["bucket"] = _bucket_of(
-            t.column(left_on).combine_chunks(), n_buckets)
         return pa.table(cols)
 
     def _right(t: pa.Table) -> pa.Table:
@@ -667,13 +599,11 @@ def equi_join(left_ds, right_ds, left_on: str, right_on: str,
         for name in right_cols:
             cols[name] = t.column(name)
         cols["side"] = pa.array(np.ones(n, np.int8))
-        cols["bucket"] = _bucket_of(key, n_buckets)
         return pa.table(cols)
 
-    rows = left_ds.map_batches(_left, batch_format="pyarrow").union(
-        right_ds.select_columns([right_on, *right_cols]).map_batches(
-            _right, batch_format="pyarrow")
-    )
+    rows = [left_ds.map_batches(_left, batch_format="pyarrow"),
+            right_ds.select_columns([right_on, *right_cols]).map_batches(
+                _right, batch_format="pyarrow")]
 
     out_schema = pa.schema(
         [(n, ltypes[n]) for n in lcols]
@@ -689,7 +619,7 @@ def equi_join(left_ds, right_ds, left_on: str, right_on: str,
         if left.num_rows == 0:
             if how != "outer" or right.num_rows == 0:
                 return _empty
-            # full outer, no left in this bucket: right rows already
+            # full outer, no left in this block: right rows already
             # carry the key in the left key column and typed nulls in
             # every other left column — exactly the unmatched-right row
             return right.select(out_cols).cast(out_schema)
@@ -706,12 +636,11 @@ def equi_join(left_ds, right_ds, left_on: str, right_on: str,
             merged[out_cols], preserve_index=False
         ).cast(out_schema)
 
-    return rows.groupby("bucket").map_groups(
-        _merge, batch_format="pyarrow")
+    return sorted_runs(rows, left_on, _merge, out_schema=out_schema,
+                       nulls="raise")
 
 
-def semi_join(left_ds, right_keys_ds, on: str,
-              n_buckets: int = N_JOIN_BUCKETS):
+def semi_join(left_ds, right_keys_ds, on: str):
     """LEFT SEMI join: rows of ``left_ds`` whose ``on`` key DOES
     appear in ``right_keys_ds`` — the complement of :func:`anti_join`
     (same single co-partition shuffle, the membership mask is simply
@@ -726,26 +655,7 @@ def semi_join(left_ds, right_keys_ds, on: str,
         raise ValueError(f"semi_join key {on!r} not in left columns "
                          f"{all_cols}")
 
-    def _left(t: pa.Table) -> pa.Table:
-        cols = {name: t.column(name) for name in all_cols}
-        cols["side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["bucket"] = _bucket_of(
-            t.column(on).combine_chunks(), n_buckets)
-        return pa.table(cols)
-
-    def _right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = pc.cast(t.column(on), types[on]).combine_chunks()
-        cols = {name: (key if name == on else pa.nulls(n, types[name]))
-                for name in all_cols}
-        cols["side"] = pa.array(np.ones(n, np.int8))
-        cols["bucket"] = _bucket_of(key, n_buckets)
-        return pa.table(cols)
-
-    rows = left_ds.map_batches(_left, batch_format="pyarrow").union(
-        right_keys_ds.select_columns([on]).map_batches(
-            _right, batch_format="pyarrow")
-    )
+    rows = _key_rows(left_ds, right_keys_ds, on, all_cols, types)
 
     def _filter(g: pa.Table) -> pa.Table:
         side = g.column("side")
@@ -753,13 +663,11 @@ def semi_join(left_ds, right_keys_ds, on: str,
                  .column(on).combine_chunks()
         left = g.filter(pc.equal(side, pa.scalar(0, pa.int8())))
         if len(right) == 0:
-            return left.drop_columns(["side", "bucket"]).slice(0, 0)
+            return left.drop_columns(["side"]).slice(0, 0)
         keep = pc.is_in(left.column(on), value_set=right)
-        return left.filter(keep).drop_columns(["side", "bucket"])
+        return left.filter(keep).drop_columns(["side"])
 
-    return rows.groupby("bucket").map_groups(
-        _filter, batch_format="pyarrow"
-    )
+    return sorted_runs(rows, on, _filter, nulls="raise")
 
 
 def interval_lookup_join(ds, boundaries: Sequence[float],

@@ -4,7 +4,7 @@ The first ITERATIVE distributed algorithm in the engine: PageRank
 power iteration expressed as a loop of co-partitioned equi-joins +
 grouped sums over Datasets — no driver-side adjacency, no broadcast of
 the rank vector (at 10¹²-document scale the host table alone is ~10⁸
-rows; ranks move through the same hash-bucket shuffle as any keyed
+rows; ranks move through the same sorted-run shuffle as any keyed
 join, `stages/joins.equi_join`).
 
 Determinism contract: ranks are computed in ORDER-INDEPENDENT integer
@@ -90,7 +90,6 @@ PR_BROADCAST_MAX_NODES = 1_000_000
 
 def pagerank_hosts(edges_ds, iters: int = 5, scale: int = PR_SCALE,
                    d_num: int = PR_D_NUM, d_den: int = PR_D_DEN,
-                   n_buckets: int = 16,
                    broadcast_max_nodes: int = PR_BROADCAST_MAX_NODES):
     """Integer PageRank over the host graph → (host, rank_score) rows.
 
@@ -107,7 +106,7 @@ def pagerank_hosts(edges_ds, iters: int = 5, scale: int = PR_SCALE,
       driver: fine up to ~10⁶ hosts (a few MB), which covers most real
       host graphs. Measured at sf0.1: 66 s → ~4 s vs the join path.
     * **co-partition** (above the cap): ranks move through the same
-      hash-bucket shuffles as any keyed join — one equi-join (ranks
+      sorted-run shuffles as any keyed join — one equi-join (ranks
       onto edges by src), a grouped sum by dst, and a left join back
       onto nodes so in-degree-0 hosts keep the base rank; ranks
       materialize per round (O(#hosts)) to bound lineage. Nothing ever
@@ -126,7 +125,6 @@ def pagerank_hosts(edges_ds, iters: int = 5, scale: int = PR_SCALE,
     outdeg = edges.groupby("src_host").aggregate(Sum("n", alias_name="out_n"))
     edges_aug = equi_join(
         edges, outdeg, "src_host", "src_host", ["out_n"],
-        n_buckets=n_buckets,
     ).materialize()
 
     def _init(t: pa.Table) -> pa.Table:
@@ -160,15 +158,13 @@ def pagerank_hosts(edges_ds, iters: int = 5, scale: int = PR_SCALE,
 
     for _ in range(iters):
         contrib = (
-            equi_join(edges_aug, ranks, "src_host", "host", ["rank_score"],
-                      n_buckets=n_buckets)
+            equi_join(edges_aug, ranks, "src_host", "host", ["rank_score"])
             .map_batches(_contrib, batch_format="pyarrow")
             .groupby("dst_host")
             .aggregate(Sum("c", alias_name="s"))
         )
         ranks = (
-            equi_join(nodes, contrib, "host", "dst_host", ["s"], how="left",
-                      n_buckets=n_buckets)
+            equi_join(nodes, contrib, "host", "dst_host", ["s"], how="left")
             .map_batches(_apply, batch_format="pyarrow")
             .materialize()
         )
@@ -233,8 +229,7 @@ def _pagerank_broadcast(edges, nodes, iters, scale, base, d_num, d_den):
     }))
 
 
-def host_frontier(edges_ds, seed_hosts, max_hops: int = 2,
-                  n_buckets: int = 16):
+def host_frontier(edges_ds, seed_hosts, max_hops: int = 2):
     """Crawl-frontier expansion: BFS over the directed host graph →
     (host, hops) for every host reachable from the seed set within
     ``max_hops`` edges, hops = the BFS level (min distance — each host
@@ -275,7 +270,7 @@ def host_frontier(edges_ds, seed_hosts, max_hops: int = 2,
 
     for h in range(1, max_hops + 1):
         cands = (
-            semi_join(edges, frontier, on="host", n_buckets=n_buckets)
+            semi_join(edges, frontier, on="host")
             .groupby("dst_host")
             .aggregate(Count(alias_name="_n"))
             .select_columns(["dst_host"])
@@ -287,7 +282,6 @@ def host_frontier(edges_ds, seed_hosts, max_hops: int = 2,
             break
         new = anti_join(
             cands, visited.select_columns(["host"]), on="host",
-            n_buckets=n_buckets,
         ).materialize()
         if new.count() == 0:
             break
@@ -386,16 +380,14 @@ def mutual_links(edges_ds):
     dense mutual blocks are trade rings).
 
     Shape: one per-row canonicalization map (unordered pair + direction
-    flag), then ONE hash-bucketed exchange keyed on the min endpoint —
-    pair keys are unbounded, so per the §10.4 rule they go through
-    bucketed ``map_groups``, never the sort-based keyed groupby. The
-    in-bucket kernel is a single lexsort + run detection: the weighted
+    flag), then ONE ``shuffle.sorted_runs`` on the min endpoint. The
+    per-block kernel is a single sort + run detection: the weighted
     edge table is distinct per (src, dst), so an unordered pair holds
     at most two rows and survives iff it holds exactly two (one per
     direction). Self-loops are dropped. Skew bound = the hottest min
     endpoint's degree — the same contract as the triangle wedge stage.
     """
-    from .joins import _bucket_of
+    from .shuffle import sorted_runs
 
     def _canon(t: pa.Table) -> pa.Table:
         a = pc.min_element_wise(t.column("src_host"),
@@ -403,13 +395,11 @@ def mutual_links(edges_ds):
         b = pc.max_element_wise(t.column("src_host"),
                                 t.column("dst_host"))
         fwd = pc.equal(t.column("src_host"), a)   # edge runs a→b?
-        tb = pa.table({
+        return pa.table({
             "a": a, "b": b,
             "fwd": pc.cast(fwd, pa.int8()),
             "n": pc.cast(t.column("n"), pa.int64()),
         }).filter(pc.not_equal(a, b))
-        return tb.append_column(
-            "_b", _bucket_of(tb.column("a").combine_chunks(), 256))
 
     _EMPTY = pa.table({
         "host_a": pa.array([], pa.string()),
@@ -444,9 +434,8 @@ def mutual_links(edges_ds):
             "n_ba": pa.array(n[idx - 1], pa.int64()),
         })
 
-    return edges_ds.map_batches(
-        _canon, batch_format="pyarrow"
-    ).groupby("_b").map_groups(_pair, batch_format="pyarrow")
+    return sorted_runs(edges_ds.map_batches(_canon, batch_format="pyarrow"),
+                       "a", _pair, nulls="raise")
 
 
 def host_triangles(edges_ds, src_col: str = "src_host",
@@ -459,13 +448,12 @@ def host_triangles(edges_ds, src_col: str = "src_host",
     driver adjacency:
       1. canonicalize (u = min endpoint, v = max; self-loops dropped)
          + distinct — one grouped pass;
-      2. wedges: HASH-BUCKETED groups (256 buckets of min-endpoints,
-         the rank_per_group shape — a per-vertex keyed groupby dies on
-         millions of tiny groups, the repo's measured §10.4 rule; the
-         r4 10× stress sweep caught this stage at 19× cost) emit every
+      2. wedges: one ``shuffle.sorted_runs`` on the min endpoint (a
+         per-vertex Python call dies on millions of tiny groups; the
+         r4 10× stress sweep caught this stage at 19× cost) emits every
          neighbor pair (w1 < w2) of each MIN endpoint — a triangle
          (a<b<c) is generated exactly once, as the wedge (b,c)
-         centered at a. Pair generation is vectorized: one in-bucket
+         centered at a. Pair generation is vectorized: one per-block
          sort, run-length detection, and per-degree-class
          ``triu_indices`` index arithmetic — no Python pair loop;
       3. semi-join the wedge's closing pair against the edge set
@@ -491,11 +479,6 @@ def host_triangles(edges_ds, src_col: str = "src_host",
     canon = (edges_ds.map_batches(_canon, batch_format="pyarrow")
              .groupby(["u", "v"]).aggregate(Count(alias_name="_n"))
              .select_columns(["u", "v"]))
-
-    def _add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import _bucket_of
-
-        return t.append_column("_b", _bucket_of(t.column("u"), 256))
 
     _EMPTY_WEDGES = pa.table({
         "center": pa.array([], pa.string()),
@@ -545,9 +528,9 @@ def host_triangles(edges_ds, src_col: str = "src_host",
             "pair_key": pc.binary_join_element_wise(w1, w2, "|"),
         })
 
-    wedges = (canon.map_batches(_add_bucket, batch_format="pyarrow")
-              .groupby("_b")
-              .map_groups(_wedges, batch_format="pyarrow"))
+    from .shuffle import sorted_runs
+
+    wedges = sorted_runs(canon, "u", _wedges, nulls="raise")
 
     def _edge_keys(t: pa.Table) -> pa.Table:
         return pa.table({"pair_key": pc.binary_join_element_wise(
@@ -634,7 +617,6 @@ HITS_SCALE = 10**6
 
 
 def hits_hosts(edges_ds, iters: int = 2, scale: int = HITS_SCALE,
-               n_buckets: int = 16,
                broadcast_max_nodes: int = PR_BROADCAST_MAX_NODES):
     """Max-normalized integer HITS (Kleinberg) over the weighted host
     graph → ``(host, hub_score, authority_score)`` rows, scores in
@@ -688,8 +670,7 @@ def hits_hosts(edges_ds, iters: int = 2, scale: int = HITS_SCALE,
 
     def _step(scores, join_col, out_col):
         raw = (
-            equi_join(edges, scores, join_col, "host", ["s"],
-                      n_buckets=n_buckets)
+            equi_join(edges, scores, join_col, "host", ["s"])
             .map_batches(_mul(join_col, out_col), batch_format="pyarrow")
             .groupby(out_col).aggregate(Sum("c", alias_name="raw"))
         ).materialize()
@@ -715,14 +696,14 @@ def hits_hosts(edges_ds, iters: int = 2, scale: int = HITS_SCALE,
             return pa.table({"host": t.column("host"), col: s})
         return _f
 
-    hub_full = equi_join(nodes, hub, "host", "host", ["s"], how="left",
-                         n_buckets=n_buckets).map_batches(
+    hub_full = equi_join(nodes, hub, "host", "host", ["s"],
+                         how="left").map_batches(
         _zero_fill("hub_score"), batch_format="pyarrow")
-    auth_full = equi_join(nodes, auth, "host", "host", ["s"], how="left",
-                          n_buckets=n_buckets).map_batches(
+    auth_full = equi_join(nodes, auth, "host", "host", ["s"],
+                          how="left").map_batches(
         _zero_fill("authority_score"), batch_format="pyarrow")
     return equi_join(hub_full, auth_full, "host", "host",
-                     ["authority_score"], n_buckets=n_buckets)
+                     ["authority_score"])
 
 
 def _hits_broadcast(edges, nodes, iters, scale):
@@ -777,7 +758,6 @@ def _hits_broadcast(edges, nodes, iters, scale):
 
 
 def kcore_hosts(edges_ds, k: int = 3, rounds: int = 8,
-                n_buckets: int = 16,
                 broadcast_max_nodes: int = PR_BROADCAST_MAX_NODES):
     """k-core of the (symmetrized, unweighted) host graph: peel nodes
     of degree < k repeatedly for up to ``rounds`` rounds (early-stop
@@ -844,10 +824,8 @@ def kcore_hosts(edges_ds, k: int = 3, rounds: int = 8,
 
     for _ in range(rounds):
         n_before = surviving.count()
-        alive = equi_join(edges, surviving, "a", "host", [],
-                          n_buckets=n_buckets)
-        alive = equi_join(alive, surviving, "b", "host", [],
-                          n_buckets=n_buckets)
+        alive = equi_join(edges, surviving, "a", "host", [])
+        alive = equi_join(alive, surviving, "b", "host", [])
         deg = alive.groupby("a").aggregate(Count(alias_name="deg"))
         surviving = deg.map_batches(
             lambda t: t.filter(pc.greater_equal(
@@ -858,10 +836,8 @@ def kcore_hosts(edges_ds, k: int = 3, rounds: int = 8,
             break
         edges = alive.materialize()
 
-    alive = equi_join(edges, surviving, "a", "host", [],
-                      n_buckets=n_buckets)
-    alive = equi_join(alive, surviving, "b", "host", [],
-                      n_buckets=n_buckets)
+    alive = equi_join(edges, surviving, "a", "host", [])
+    alive = equi_join(alive, surviving, "b", "host", [])
     deg = alive.groupby("a").aggregate(Count(alias_name="deg"))
     return deg.map_batches(
         lambda t: pa.table({

@@ -52,8 +52,7 @@ DEFAULT_FAN_IN = 8
 
 
 def _key_hash_u64(col: pa.ChunkedArray) -> np.ndarray:
-    """uint64 hash per key — fmix64 for ints, fnv64+fmix64 for strings
-    (same kernels the shuffle bucketing uses, joins._bucket_of)."""
+    """uint64 hash per key — fmix64 for ints, fnv64+fmix64 for strings."""
     import pyarrow.compute as pc
 
     if pa.types.is_integer(col.type):

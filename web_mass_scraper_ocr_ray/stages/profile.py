@@ -52,8 +52,9 @@ def profile_columns(ds, columns: Sequence[str]) -> pa.Table:
     partial row per batch (k ints). n_distinct is exact for ALL k
     columns through ONE fused exchange: every column's non-null
     values encode to (col_idx, key-bytes) rows, map-side np.unique
-    pre-dedups each batch, a single hash-bucket shuffle co-locates
-    keys, and an in-group sort counts survivors per column — k
+    pre-dedups each batch, a single ``shuffle.sorted_runs`` on the key
+    bytes co-locates keys, and a per-block dedup counts survivors per
+    column — k
     serial groupbys (the first cut) cost k orchestration floors;
     this costs one."""
     cols = list(columns)
@@ -72,7 +73,7 @@ def profile_columns(ds, columns: Sequence[str]) -> pa.Table:
     totals = ds.map_batches(
         _null_partial, batch_format="pyarrow").aggregate(*aggs)
 
-    n_buckets = 64
+    from .shuffle import sorted_runs
 
     def _keys(t: pa.Table) -> pa.Table:
         parts = []
@@ -84,17 +85,7 @@ def profile_columns(ds, columns: Sequence[str]) -> pa.Table:
                 "cidx": pa.array(np.full(len(k), i, np.int64)),
                 "key": k,
             }))
-        out = pa.concat_tables(parts)
-        import zlib
-
-        keys = out.column("key").to_pylist()
-        # crc32: deterministic ACROSS worker processes (builtin hash()
-        # is salted per process and would split a key over buckets)
-        h = np.fromiter((zlib.crc32(x) for x in keys),
-                        dtype=np.int64, count=len(keys))
-        b = ((out.column("cidx").to_numpy(zero_copy_only=False)
-              * 1315423911) ^ h) % n_buckets
-        return out.append_column("_b", pa.array(b.astype(np.int32)))
+        return pa.concat_tables(parts)
 
     def _count(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -111,9 +102,9 @@ def profile_columns(ds, columns: Sequence[str]) -> pa.Table:
 
     from ray.data.aggregate import Sum as _Sum
 
-    counts = ds.map_batches(_keys, batch_format="pyarrow").groupby(
-        "_b").map_groups(_count, batch_format="pyarrow").groupby(
-        "cidx").aggregate(_Sum("n", alias_name="n")).take_all()
+    counts = sorted_runs(
+        ds.map_batches(_keys, batch_format="pyarrow"), "key", _count
+    ).groupby("cidx").aggregate(_Sum("n", alias_name="n")).take_all()
     n_distinct = {cols[int(r["cidx"])]: int(r["n"]) for r in counts}
 
     return pa.table({

@@ -360,31 +360,20 @@ def sample_bottomk_per_group(ds, id_col: str, group_col: str, k: int):
     ).groupby(group_col).map_groups(_partial, batch_format="pyarrow")
 
 
-def rank_per_group(ds, group_col: str, order_col: str,
-                   n_buckets: int = 64):
+def rank_per_group(ds, group_col: str, order_col: str):
     """Dense 0-based rank of every row within its group under
     ``order_col`` ascending (ties broken by the order column's own
     equality — callers pass a unique key) → input columns +
     ``group_rank``.
 
-    Skew-proof shape: groups are HASH-BUCKETED (groupby over the
-    bucket, not the group), and inside a bucket the kernel sorts once
-    by (group, order) and ranks every run with the vectorized
-    first-occurrence trick — a hot group costs one sort inside one
-    bucket, never a per-group task."""
-    import zlib
-
-    def _bucket_col(t: pa.Table) -> pa.Table:
-        vals = t.column(group_col).to_pylist()
-        hv = np.array(
-            [zlib.crc32(str(v).encode("utf-8")) % n_buckets
-             for v in vals], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(hv, pa.int32()))
+    Shape: one ``shuffle.sorted_runs`` on the group; inside a sorted
+    block the kernel sorts once by (group, order) and ranks every run
+    with the vectorized first-occurrence trick — a hot group costs one
+    sort inside one block, never a per-group task. A null group ranks
+    as one group of its own."""
+    from .shuffle import sorted_runs
 
     def _rank(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return g.drop_columns(["_bucket"]).append_column(
-                "group_rank", pa.array([], pa.int64()))
         idx = pc.sort_indices(
             g, sort_keys=[(group_col, "ascending"),
                           (order_col, "ascending")])
@@ -396,16 +385,12 @@ def rank_per_group(ds, group_col: str, order_col: str,
         first = np.maximum.accumulate(
             np.where(change, np.arange(len(grp)), 0))
         rank = np.arange(len(grp)) - first
-        return s.drop_columns(["_bucket"]).append_column(
-            "group_rank", pa.array(rank, pa.int64()))
+        return s.append_column("group_rank", pa.array(rank, pa.int64()))
 
-    return ds.map_batches(
-        _bucket_col, batch_format="pyarrow"
-    ).groupby("_bucket").map_groups(_rank, batch_format="pyarrow")
+    return sorted_runs(ds, group_col, _rank)
 
 
-def lag_per_group(ds, group_col: str, order_col: str, value_col: str,
-                  n_buckets: int = 64):
+def lag_per_group(ds, group_col: str, order_col: str, value_col: str):
     """Per-group LAG: every row gains ``prev_<value_col>`` — the value
     of ``value_col`` on the PREVIOUS row of the same group under
     ``order_col`` ascending (null on each group's first row).
@@ -414,28 +399,18 @@ def lag_per_group(ds, group_col: str, order_col: str, value_col: str,
     batch operator — the core of re-crawl change detection (compare a
     snapshot's content hash to the previous snapshot of the same url).
 
-    Skew-proof shape shared with ``rank_per_group``: groups are
-    HASH-BUCKETED (groupby over the bucket, not the group), and inside
-    a bucket one (group, order) sort + a vectorized shift computes the
-    lag for every run — a url recrawled millions of times costs one
-    in-bucket sort, never a per-group task or driver state.
+    Shape shared with ``rank_per_group``: one ``shuffle.sorted_runs``
+    on the group, and inside a sorted block one (group, order) sort +
+    a vectorized shift computes the lag for every run — a url
+    recrawled millions of times costs one in-block sort, never a
+    per-group task or driver state.
     """
-    import zlib
+    from .shuffle import sorted_runs
 
     out_col = f"prev_{value_col}"
 
-    def _bucket_col(t: pa.Table) -> pa.Table:
-        vals = t.column(group_col).to_pylist()
-        hv = np.array(
-            [zlib.crc32(str(v).encode("utf-8")) % n_buckets
-             for v in vals], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(hv, pa.int32()))
-
     def _lag(g: pa.Table) -> pa.Table:
         val_type = g.schema.field(value_col).type
-        if g.num_rows == 0:
-            return g.drop_columns(["_bucket"]).append_column(
-                out_col, pa.array([], val_type))
         idx = pc.sort_indices(
             g, sort_keys=[(group_col, "ascending"),
                           (order_col, "ascending")])
@@ -451,15 +426,12 @@ def lag_per_group(ds, group_col: str, order_col: str, value_col: str,
              vals.cast(val_type).slice(0, len(grp) - 1)])
         prev = pc.if_else(pa.array(run_start), pa.nulls(len(grp), val_type),
                           shifted)
-        return s.drop_columns(["_bucket"]).append_column(out_col, prev)
+        return s.append_column(out_col, prev)
 
-    return ds.map_batches(
-        _bucket_col, batch_format="pyarrow"
-    ).groupby("_bucket").map_groups(_lag, batch_format="pyarrow")
+    return sorted_runs(ds, group_col, _lag)
 
 
-def apportion_budget(counts_ds, key_col: str, n_col: str, budget: int,
-                     n_buckets: int = 16):
+def apportion_budget(counts_ds, key_col: str, n_col: str, budget: int):
     """Largest-remainder (Hamilton) apportionment of an integer
     ``budget`` across keys proportional to ``n_col`` → one row per key
     ``(key_col, n_col, quota)`` with Σ quota == budget exactly — the
@@ -473,7 +445,7 @@ def apportion_budget(counts_ds, key_col: str, n_col: str, budget: int,
     Scale shape: the input is already a per-key COUNT table (small
     relative to the corpus); N and R are two bounded driver scalars;
     the award set comes from a distributed sort + limit(R) and joins
-    back as a hash-partitioned LEFT join — no driver-side key list.
+    back as a sort-partitioned LEFT join — no driver-side key list.
     int64-exact while budget·max(n) < 2⁶³."""
     import pyarrow.compute as pc
 
@@ -512,7 +484,7 @@ def apportion_budget(counts_ds, key_col: str, n_col: str, budget: int,
                            np.ones(t.num_rows, np.int64))}),
                     batch_format="pyarrow"))
         joined = equi_join(f, awarded, key_col, key_col, ["award"],
-                           how="left", n_buckets=n_buckets)
+                           how="left")
     else:
         joined = f.map_batches(lambda t: t.append_column(
             "award", pa.array(np.zeros(t.num_rows, np.int64))),

@@ -5,10 +5,10 @@ model starts from: per-entity event streams ordered by time, counted
 as consecutive (from, to) pairs, normalized into per-source-state
 probabilities. A Markov chain estimated with three distributed steps:
 
-  1. per-entity ordered pairing — ``groupby(user).map_groups``; the
-     kernel sorts one user's events and emits LOCALLY COMBINED pair
-     counts, so a power-user with 10⁶ events contributes at most
-     |types|² rows to the exchange, not 10⁶;
+  1. per-entity ordered pairing — ``shuffle.sorted_runs`` on the
+     user; the kernel orders each user's events and emits LOCALLY
+     COMBINED pair counts, so a power-user with 10⁶ events contributes
+     at most |types|² rows to the next exchange, not 10⁶;
   2. global pair counts via the map-side combiner
      (`shuffle.two_phase_aggregate`) — O(|types|²) rows shuffle;
   3. per-from normalization as a second tiny groupby over the matrix
@@ -30,12 +30,12 @@ from .shuffle import two_phase_aggregate
 
 def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
                  type_col: str = "event_type", ts_col: str = "ts",
-                 tiebreak_col: str = "event_id", n_buckets: int = 64,
+                 tiebreak_col: str = "event_id",
                  out_cols: tuple | None = None):
     """Per-user consecutive event-type n-grams counted corpus-wide →
-    ``(ev1..evn, n)`` — the skew-proof hash-bucketed shape (§10.4):
-    one (user, ts, tiebreak) sort per bucket, windows via shifted
-    slices (user sorted ⟹ equal endpoints ⟹ one run), in-bucket
+    ``(ev1..evn, n)``: one ``shuffle.sorted_runs`` on the user, one
+    (user, ts, tiebreak) sort per sorted block, windows via shifted
+    slices (user sorted ⟹ equal endpoints ⟹ one run), in-block
     pandas combine, then the tiny keyed aggregate. Replaces the
     per-user ``groupby(user).map_groups`` form, which pays one Python
     call per user and dies at 10⁹ users. The (ts, tiebreak) sort key
@@ -43,7 +43,7 @@ def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
     adversarial-gate tie-break contract)."""
     import pyarrow.compute as pc
 
-    from .shuffle import bucketed_map_groups
+    from .shuffle import sorted_runs
 
     cols = list(out_cols or (f"ev{i + 1}" for i in range(n)))
     out_schema = pa.schema(
@@ -69,10 +69,10 @@ def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
             "int64").reset_index(name="n")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    grams = bucketed_map_groups(
+    grams = sorted_runs(
         ev_ds.select_columns(
             [user_col, ts_col, tiebreak_col, type_col]),
-        user_col, _grams, n_buckets=n_buckets, out_schema=out_schema)
+        user_col, _grams, out_schema=out_schema)
     return two_phase_aggregate(grams, tuple(cols), {"n": ("n", "sum")})
 
 
@@ -211,25 +211,24 @@ def global_running_sum(ds, order_col: str, val_col: str,
 
 
 def ordered_funnel(ev_ds, stages, user_col: str = "user_id",
-                   type_col: str = "event_type", ts_col: str = "ts",
-                   n_buckets: int = 64):
+                   type_col: str = "event_type", ts_col: str = "ts"):
     """Ordered funnel per entity: how far each user progresses through
     ``stages`` (each step must occur STRICTLY AFTER the previous
     step's first completion — the classic product-analytics funnel,
     here as a distributed op with no per-user task).
 
-    Shape: hash-bucket users (shuffle.bucketed_map_groups — skew-proof
-    on the unbounded key), ONE (user, ts) sort per bucket, then per
-    stage k one vectorized segment-min over the bucket
-    (np.minimum.reduceat on a masked ts array): t_k[user] = min ts of
-    a stage-k event with ts > t_{k-1}[user]. O(len(stages)) numpy
-    passes per bucket, never a per-user or per-row loop (§10.4).
+    Shape: one ``shuffle.sorted_runs`` on the user, ONE (user, ts)
+    sort per sorted block, then per stage k one vectorized segment-min
+    over the block (np.minimum.reduceat on a masked ts array):
+    t_k[user] = min ts of a stage-k event with ts > t_{k-1}[user].
+    O(len(stages)) numpy passes per block, never a per-user or per-row
+    loop (§10.4).
 
     → (user_id, reached, t1_us..tK_us); unreached stage times are -1.
     """
     import pyarrow.compute as pc
 
-    from .shuffle import bucketed_map_groups
+    from .shuffle import sorted_runs
 
     k_stages = list(stages)
     t_cols = [f"t{i + 1}_us" for i in range(len(k_stages))]
@@ -272,13 +271,10 @@ def ordered_funnel(ev_ds, stages, user_col: str = "user_id",
             cols[c] = pa.array(v, pa.int64())
         return pa.table(cols)
 
-    return bucketed_map_groups(
-        ev_ds, user_col, _funnel, n_buckets=n_buckets,
-        out_schema=out_schema)
+    return sorted_runs(ev_ds, user_col, _funnel, out_schema=out_schema)
 
 
-def scd2_intervals(ds, key_col: str, order_col: str, hash_col: str,
-                   n_buckets: int = 64):
+def scd2_intervals(ds, key_col: str, order_col: str, hash_col: str):
     """Slowly-changing-dimension (SCD2) intervalization: collapse a
     per-key snapshot HISTORY (one row per observation, ``order_col``
     ordinal, ``hash_col`` content fingerprint) into validity
@@ -286,7 +282,8 @@ def scd2_intervals(ds, key_col: str, order_col: str, hash_col: str,
     The warehouse op that turns crawl snapshots into
     "this version of the page was live from X to Y".
 
-    Shape: hash-bucket keys, one (key, order) sort per bucket, run
+    Shape: one ``shuffle.sorted_runs`` on the key, one (key, order)
+    sort per sorted block, run
     boundaries where key OR hash changes, then reduceat/shift index
     arithmetic for per-run min/max/next-start — no per-key loop.
 
@@ -296,7 +293,7 @@ def scd2_intervals(ds, key_col: str, order_col: str, hash_col: str,
     """
     import pyarrow.compute as pc
 
-    from .shuffle import bucketed_map_groups
+    from .shuffle import sorted_runs
 
     out_schema = pa.schema([
         (key_col, pa.int64()), (hash_col, pa.string()),
@@ -337,5 +334,4 @@ def scd2_intervals(ds, key_col: str, order_col: str, hash_col: str,
                                 pa.int64()),
         })
 
-    return bucketed_map_groups(
-        ds, key_col, _runs, n_buckets=n_buckets, out_schema=out_schema)
+    return sorted_runs(ds, key_col, _runs, out_schema=out_schema)

@@ -7,7 +7,7 @@ Carey & Li (SIGMOD'10): every record keeps only its PREFIX — the
 and two records can satisfy the overlap bound only if their prefixes
 share an element. Grouping by prefix element therefore finds every
 qualifying pair EXACTLY (no LSH recall loss), while the rarest-first
-order keeps the per-element buckets small.
+order keeps the per-element runs small.
 
 Two operators share the machinery:
   * :func:`set_similarity_self_join` — symmetric bag Jaccard ≥ tau;
@@ -29,7 +29,7 @@ Distributed shape (all exchanges move ids/hashes, never text):
      (`shuffle.two_phase_aggregate`) — O(distinct tags) rows shuffle,
   3. the rarest-first order ships as a BROADCAST top-M (df, tag) map
      (``ray.put`` once, searchsorted lookup per batch; tags outside
-     the top-M default to df=1). The order affects only bucket sizes,
+     the top-M default to df=1). The order affects only run sizes,
      never correctness — any consistent total order satisfies the
      prefix lemma — so the cap is scale-safe by construction, unlike
      a capped candidate list. Measured: replacing the two
@@ -42,10 +42,9 @@ Distributed shape (all exchanges move ids/hashes, never text):
      filter applied BEFORE pair generation — per run one
      searchsorted, pairs via np.repeat — and PPJoin's POSITIONAL
      filter applied to the generated index arrays (vectorized, see
-     `_candidate_pairs`); multi-element duplicates dedup through
-     `_distinct_pairs` (hash-bucket shuffle + in-group lexsort —
-     Ray's sort-based groupby over millions of 1-3-row groups
-     measured 40× slower),
+     `_candidate_pairs`); multi-element duplicates dedup through one
+     `shuffle.pair_counts` (a sort on the pair, run starts per
+     block),
   6. exact verify: per-doc tagged sets attach to pairs through two
      `equi_join`s; intersections for the WHOLE batch come from one
      lexsort over the flattened (row, tag) pairs (`_inter_counts` —
@@ -63,7 +62,11 @@ either doc (any such element would itself be in both prefixes — both
 docs are cut to their FIRST prefix_len elements of the same total
 order — contradicting minimality), so the bound there dominates the
 true overlap and every qualifying pair survives at least that event;
-`_distinct_pairs` dedups the rest.
+the pair dedup drops the rest.
+
+Every keyed exchange is one ``shuffle.sorted_runs`` (on the doc id or
+the prefix tag): each kernel call gets whole key runs of a sorted
+block, never one Python call per key.
 
 Unlike the banded-LSH candidates in `stages/dedup`, there is no pair
 cap here: the result is a JOIN (every qualifying pair must appear),
@@ -84,51 +87,13 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import fnv64_bulk
 from .joins import equi_join
-from .shuffle import two_phase_aggregate
+from .shuffle import pair_counts, sorted_runs, two_phase_aggregate
 
 _logger = logging.getLogger(__name__)
 
-N_BUCKETS = 64
 RUN_WARN = 10_000
 DF_TOP_M = 2_000_000  # broadcast-rank cap: ~30 MB of (tag, df) pairs
 _FNV_PRIME = np.uint64(1099511628211)
-
-
-def _bucket_i64(arr: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Multiplicative hash bucket for int64 keys (avalanches the low
-    bits so sequential ids spread)."""
-    h = (arr.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    return (h % np.uint64(n_buckets)).astype(np.int32)
-
-
-def _distinct_pairs(pairs_ds, a_col: str, b_col: str,
-                    n_buckets: int = N_BUCKETS):
-    """DISTINCT over (a, b) int64 pairs WITHOUT a keyed aggregate: a
-    pair with several shared prefix elements is generated once per
-    element, and Ray's sort-based groupby over millions of tiny groups
-    was the measured bottleneck (87.8 s for 7M rows → 2.5M groups at
-    sf0.1 vs ~2 s for this shape: hash-bucket shuffle with ~N_BUCKETS
-    groups + one in-group lexsort dedup)."""
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        a = t.column(a_col).to_numpy(zero_copy_only=False)
-        b = t.column(b_col).to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            mix = (a.astype(np.uint64) * _FNV_PRIME) ^ b.astype(np.uint64)
-        return t.append_column(
-            "_b", pa.array(_bucket_i64(mix.view(np.int64), n_buckets)))
-
-    def _uniq(g: pa.Table) -> pa.Table:
-        a = g.column(a_col).to_numpy(zero_copy_only=False)
-        b = g.column(b_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-        return pa.table({a_col: pa.array(a[keep], pa.int64()),
-                         b_col: pa.array(b[keep], pa.int64())})
-
-    return pairs_ds.map_batches(_bucket, batch_format="pyarrow").groupby(
-        "_b").map_groups(_uniq, batch_format="pyarrow")
 
 
 def bag_elements(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
@@ -223,8 +188,14 @@ def _attach_df(ele_ds, rank_ref):
     return ele_ds.map_batches(_add, batch_format="pyarrow")
 
 
-def _doc_tables(ranked_ele, id_col: str, prefix_len,
-                n_buckets: int = N_BUCKETS):
+def _distinct_pairs(pairs_ds, a_col: str, b_col: str):
+    """DISTINCT over (a, b) int64 pairs: a pair with several shared
+    prefix elements is generated once per element."""
+    return pair_counts(pairs_ds, a_col, b_col, "_n").select_columns(
+        [a_col, b_col])
+
+
+def _doc_tables(ranked_ele, id_col: str, prefix_len):
     """ONE keyed exchange per side: (doc_id, tag, n, df) element rows
     → one row per doc carrying BOTH the verify bag (tag-sorted element
     list) and the candidate prefix (the ``prefix_len(n)`` rarest
@@ -232,10 +203,6 @@ def _doc_tables(ranked_ele, id_col: str, prefix_len,
     ``(doc_id, n, tags list<int64>, ptags list<int64>)``.
     The first cut paid separate `_prefixes` and `_bags` shuffles for
     the same grouping."""
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.append_column("_b", pa.array(_bucket_i64(ids, n_buckets)))
 
     def _collect(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[
@@ -270,8 +237,7 @@ def _doc_tables(ranked_ele, id_col: str, prefix_len,
                 pa.array(poffs), pa.array(ptags, pa.int64())),
         })
 
-    return ranked_ele.map_batches(_bucket, batch_format="pyarrow").groupby(
-        "_b").map_groups(_collect, batch_format="pyarrow")
+    return sorted_runs(ranked_ele, id_col, _collect)
 
 
 def _explode_prefix(doc_tables, id_col: str):
@@ -300,10 +266,9 @@ def _explode_prefix(doc_tables, id_col: str):
     return doc_tables.map_batches(_ex, batch_format="pyarrow")
 
 
-def _candidate_pairs(prefix_ds, id_col: str, tau_bp: int,
-                     n_buckets: int = N_BUCKETS):
-    """Prefix rows → distinct candidate pairs. Tag runs are grouped in
-    hash(tag) buckets; within a run sorted by (n, id) the AllPairs
+def _candidate_pairs(prefix_ds, id_col: str, tau_bp: int):
+    """Prefix rows → distinct candidate pairs. Tag runs come from one
+    ``sorted_runs`` on the tag; within a run sorted by (n, id) the AllPairs
     length filter admits, for each member j, only partners i<j with
     ``n_i * 10000 >= tau_bp * n_j`` — one searchsorted per run, pair
     indices via np.repeat (no Python loop over pairs). PPJoin's
@@ -313,13 +278,7 @@ def _candidate_pairs(prefix_ds, id_col: str, tau_bp: int,
     module docstring; the minimal shared prefix element of any
     qualifying pair always passes)."""
 
-    def _bucket(t: pa.Table) -> pa.Table:
-        tags = t.column("tag").to_numpy(zero_copy_only=False)
-        return t.append_column("_b", pa.array(_bucket_i64(tags, n_buckets)))
-
     def _pairs(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = g.select(["tag", id_col, "n", "pos"]).to_pandas()
         df = df.sort_values(["tag", "n", id_col], kind="stable")
         tags = df["tag"].to_numpy()
@@ -372,15 +331,13 @@ def _candidate_pairs(prefix_ds, id_col: str, tau_bp: int,
         return pa.table({"doc_a": pa.array(a, pa.int64()),
                          "doc_b": pa.array(b, pa.int64())})
 
-    pairs = prefix_ds.map_batches(_bucket, batch_format="pyarrow").groupby(
-        "_b").map_groups(_pairs, batch_format="pyarrow")
+    pairs = sorted_runs(prefix_ds, "tag", _pairs)
     # a pair may share several prefix elements — distinct them
-    return _distinct_pairs(pairs, "doc_a", "doc_b", n_buckets)
+    return _distinct_pairs(pairs, "doc_a", "doc_b")
 
 
 def _containment_candidates(ne_prefix, ce_prefix, tau_bp: int,
-                            id_col: str = "doc_id",
-                            n_buckets: int = N_BUCKETS):
+                            id_col: str = "doc_id"):
     """Side-tagged prefix rows → distinct (needle_id, doc_id)
     candidates. Per tag run, each needle pairs with the docs whose bag
     size passes the containment length filter
@@ -405,12 +362,8 @@ def _containment_candidates(ne_prefix, ce_prefix, tau_bp: int,
             })
         return _f
 
-    both = ne_prefix.map_batches(_tag_side(0), batch_format="pyarrow") \
-        .union(ce_prefix.map_batches(_tag_side(1), batch_format="pyarrow"))
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        tags = t.column("tag").to_numpy(zero_copy_only=False)
-        return t.append_column("_b", pa.array(_bucket_i64(tags, n_buckets)))
+    both = [ne_prefix.map_batches(_tag_side(0), batch_format="pyarrow"),
+            ce_prefix.map_batches(_tag_side(1), batch_format="pyarrow")]
 
     def _pairs(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[
@@ -459,9 +412,8 @@ def _containment_candidates(ne_prefix, ce_prefix, tau_bp: int,
         return pa.table({"needle_id": pa.array(a, pa.int64()),
                          "doc_id": pa.array(b, pa.int64())})
 
-    pairs = both.map_batches(_bucket, batch_format="pyarrow").groupby(
-        "_b").map_groups(_pairs, batch_format="pyarrow")
-    return _distinct_pairs(pairs, "needle_id", "doc_id", n_buckets)
+    pairs = sorted_runs(both, "tag", _pairs)
+    return _distinct_pairs(pairs, "needle_id", "doc_id")
 
 
 def _inter_counts(tags_a, tags_b) -> np.ndarray:

@@ -1,4 +1,11 @@
-"""Shuffle-reduction utilities — two-phase aggregation (combiner).
+"""Shuffle utilities — the keyed exchange and two-phase aggregation.
+
+Every keyed per-group stage runs on :func:`sorted_runs`: ONE sort on
+the real key, then a vectorized kernel over the whole key runs of each
+sorted block. No hash-bucket column, no per-key Python call, no
+private hasher per stage (*Hyper Dimension Shuffle*, VLDB'19, counts
+exchanges per stage as the cost to minimize: this adds none around
+the sort every groupby already pays).
 
 A bare ``groupby(key).aggregate(...)`` shuffles EVERY row to its key's
 reducer. For algebraic aggregates (sum/count/min/max) the canonical
@@ -305,54 +312,107 @@ def rebalance_by_size(ds, size_col: str, id_col: str,
                                         batch_format="pyarrow")
 
 
-def bucketed_map_groups(ds, group_col: str, kernel, n_buckets: int = 64,
-                        out_schema: pa.Schema | None = None):
-    """Skew-proof replacement for ``groupby(key).map_groups`` on an
-    UNBOUNDED key (user ids, urls): hash-BUCKET the key, groupby the
-    bucket, and run ``kernel`` once per bucket over a pa.Table holding
-    every whole group that hashed there (groups never split).
+def _stringlike(typ: pa.DataType) -> bool:
+    return (pa.types.is_string(typ) or pa.types.is_large_string(typ)
+            or pa.types.is_binary(typ) or pa.types.is_large_binary(typ))
 
-    Why: Ray's sort-based keyed groupby pays per-group overhead —
-    measured ~40× slower than this shape on millions of tiny groups
-    (SURVEY §10.4, setjoin._distinct_pairs) — and a per-group Python
-    kernel dies at 10⁹ users. ``kernel`` must be vectorized over runs
-    inside the bucket: one (group, order) sort, then numpy over run
-    boundaries (see rank_per_group / the events kernels for the
-    pattern). ``out_schema`` (optional) is returned for empty buckets
-    so schema inference never sees a 0-column block.
+
+def sorted_runs(ds, key, kernel, out_schema: pa.Schema | None = None,
+                nulls: str = "run"):
+    """The keyed exchange: ONE sort on ``key`` (a column or a list of
+    columns) of ``ds`` — a Dataset, or a list of Datasets to
+    co-partition (unioned after their key pass, so the pass fuses into
+    each input's own map) — then ``kernel(pa.Table)`` once per sorted
+    block (``batch_size=None``); it returns a pa.Table, or a DataFrame
+    for a pandas kernel called as ``lambda t: fn(t.to_pandas())``.
+    Three decisions live here so no call site has to know them:
+
+    - **Whole runs.** A sort reduce emits its partition as ONE block
+      and a range partition never splits a key, so every row of a key
+      reaches the same call, sorted. A call holds many keys: kernels
+      work over the runs of the block (:func:`run_starts`), not per
+      key. The flip side is skew: one key's run is one call.
+    - **Null keys.** Ray's range partition cannot order a null among
+      strings (``np.searchsorted`` over an object column raises
+      ``TypeError``), so a string/binary key is sorted on a null-filled
+      copy plus a null flag, and the kernel gets the nulls back as one
+      run at the end of its block. Integer nulls sort as they are.
+      ``nulls="raise"`` instead rejects a null string/binary key with
+      a ``ValueError`` naming the column (the join family's contract).
+    - **Typed empty output.** Ray passes zero-row blocks by without
+      calling ``kernel``, so an empty input would give a result with
+      no schema; with ``out_schema`` the result always carries it.
     """
-    import zlib
-
-    import numpy as np
     import pyarrow.compute as pc
 
-    def _bucket(t: pa.Table) -> pa.Table:
-        col = t.column(group_col)
-        if pa.types.is_integer(col.type):
-            ids = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-            hv = ((ids * np.uint64(2654435761)) >> np.uint64(17)
-                  ).astype(np.int64) % n_buckets
-            hv = hv.astype(np.int32)
-        else:
-            hv = np.array(
-                [zlib.crc32(str(v).encode("utf-8")) % n_buckets
-                 for v in col.to_pylist()], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(hv))
+    if nulls not in ("run", "raise"):
+        raise ValueError(f"nulls={nulls!r} not in ('run', 'raise')")
+    keys = [key] if isinstance(key, str) else list(key)
+    flags = {k: f"__null_{k}" for k in keys}
 
-    def _run(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_bucket"])
-        if g.num_rows == 0 and out_schema is not None:
-            return out_schema.empty_table()
-        return kernel(g)
+    def _needs_pass(d) -> bool:
+        # free when the schema is known (materialized or source
+        # inputs): an integer key needs no pass at all
+        sch = d.schema(fetch_if_missing=False)
+        if sch is None:
+            return True
+        types = dict(zip(sch.names, sch.types))
+        return any(not isinstance(types.get(k), pa.DataType)
+                   or _stringlike(types[k]) for k in keys)
 
-    return ds.map_batches(
-        _bucket, batch_format="pyarrow"
-    ).groupby("_bucket").map_groups(_run, batch_format="pyarrow")
+    def _fill(t: pa.Table) -> pa.Table:
+        for k in keys:
+            col = t.column(k)
+            if not _stringlike(col.type):
+                continue
+            if nulls == "raise":
+                if col.null_count:
+                    raise ValueError(f"null in string key column {k!r}")
+                continue
+            t = t.append_column(flags[k], pc.is_null(col))
+            if col.null_count:
+                empty = pa.scalar(b"", pa.binary()).cast(col.type)
+                t = t.set_column(t.schema.get_field_index(k), k,
+                                 pc.fill_null(col, empty))
+        return t
+
+    def _run(t: pa.Table) -> pa.Table:
+        present = [k for k in keys if flags[k] in t.column_names]
+        restored = False
+        for k in present:
+            flag = t.column(flags[k])
+            if pc.any(flag).as_py():
+                i = t.schema.get_field_index(k)
+                col = t.column(k)
+                t = t.set_column(i, k, pc.if_else(
+                    flag, pa.scalar(None, col.type), col))
+                restored = True
+        if present:
+            t = t.drop_columns([flags[k] for k in present])
+        if restored:
+            # the filled nulls sorted among the empty strings: move
+            # them behind, as one run (a stable sort of sorted rows)
+            t = t.take(pc.sort_indices(
+                t, sort_keys=[(k, "ascending") for k in keys],
+                null_placement="at_end"))
+        return kernel(t)
+
+    parts = [d.map_batches(_fill, batch_format="pyarrow", batch_size=None,
+                           zero_copy_batch=True) if _needs_pass(d) else d
+             for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    merged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    out = merged.sort(keys).map_batches(
+        _run, batch_format="pyarrow", batch_size=None)
+    if out_schema is None:
+        return out
+    import ray.data as rd
+
+    return rd.from_arrow(out_schema.empty_table()).union(out)
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """Boolean mask marking each group run's first row of a SORTED key
-    array — the core of every vectorized in-bucket window kernel."""
+    array — the core of every vectorized :func:`sorted_runs` kernel."""
     import numpy as np
 
     out = np.empty(len(keys), dtype=bool)
@@ -421,39 +481,16 @@ def zorder_layout(ds, col_a: str, col_b: str, bits: int = 10,
     return ds.map_batches(_stamp, batch_format="pyarrow")
 
 
-def pair_counts_bucketed(pairs_ds, a_col: str = "doc_a",
-                         b_col: str = "doc_b",
-                         out_col: str = "n_bands_hit",
-                         n_buckets: int = 64):
-    """Count duplicate (a, b) pair rows without a keyed groupby over
-    the pair key: hash-bucket the pair, ONE in-bucket lexsort, run
-    lengths = counts. The same shape as setjoin._distinct_pairs /
-    tiering.winnow_pairs' shared-count stage — Ray's sort-based keyed
-    groupby over millions of 1-8-row pair groups measured ~40× slower
-    (SURVEY §10.4). → (a_col, b_col, out_col)."""
+def pair_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
+                out_col: str = "n_bands_hit"):
+    """Count duplicate (a, b) pair rows: one :func:`sorted_runs` on the
+    pair, run lengths = counts. → (a_col, b_col, out_col)."""
     import numpy as np
-    import pyarrow.compute as pc
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        a = t.column(a_col).to_numpy(zero_copy_only=False)
-        b = t.column(b_col).to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            mix = (a.astype(np.uint64) * np.uint64(1099511628211)) \
-                ^ b.astype(np.uint64)
-        bb = ((mix * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(n_buckets)
-        return pa.table({
-            a_col: t.column(a_col), b_col: t.column(b_col),
-            "_b": pa.array(bb.astype(np.int32)),
-        })
 
     def _count(g: pa.Table) -> pa.Table:
         a = g.column(a_col).to_numpy(zero_copy_only=False)
         b = g.column(b_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        starts = np.flatnonzero(
-            np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+        starts = np.flatnonzero(run_starts(a) | run_starts(b))
         n = np.diff(np.r_[starts, len(a)])
         return pa.table({
             a_col: pa.array(a[starts], pa.int64()),
@@ -461,5 +498,5 @@ def pair_counts_bucketed(pairs_ds, a_col: str = "doc_a",
             out_col: pa.array(n.astype(np.int64), pa.int64()),
         })
 
-    return pairs_ds.map_batches(_bucket, batch_format="pyarrow") \
-        .groupby("_b").map_groups(_count, batch_format="pyarrow")
+    return sorted_runs(pairs_ds.select_columns([a_col, b_col]),
+                       [a_col, b_col], _count)

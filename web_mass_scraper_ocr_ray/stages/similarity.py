@@ -449,6 +449,8 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.9,
     are deduped by a (vec_a, vec_b) groupby."""
     from ray.data.aggregate import Max
 
+    from .shuffle import run_starts, sorted_runs
+
     def _explode(t: pa.Table) -> pa.Table:
         hasher = _band_hashers(t, vec_col, n_bits, n_bands, seed)
         ids = _ids_np(t.column(id_col))
@@ -467,14 +469,23 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.9,
         return rep.append_column("bucket", pa.array(bucket, pa.int64()))
 
     def _bucket_pairs(g: pa.Table) -> pa.Table:
+        # one verify matmul per LSH bucket run of the sorted block
+        # (≤ n_bands · 2^n_bits runs in all)
         ids = _ids_np(g.column(id_col))
         vecs = _normalize(_matrix(g.column(vec_col)))
-        sims = vecs @ vecs.T
-        ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
-        xa, xb = ids[ia], ids[ib]
-        keep = xa != xb
-        xa, xb = xa[keep], xb[keep]
-        cos = sims[ia, ib][keep] if len(ia) else np.zeros(0)
+        bucket = g.column("bucket").to_numpy(zero_copy_only=False)
+        bounds = np.r_[np.flatnonzero(run_starts(bucket)), len(bucket)]
+        xa, xb, cos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
+            [np.zeros(0)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sims = vecs[lo:hi] @ vecs[lo:hi].T
+            ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
+            keep = ids[lo:hi][ia] != ids[lo:hi][ib]
+            xa.append(ids[lo:hi][ia][keep])
+            xb.append(ids[lo:hi][ib][keep])
+            cos.append(sims[ia, ib][keep])
+        xa, xb, cos = (np.concatenate(xa), np.concatenate(xb),
+                       np.concatenate(cos))
         return pa.table({
             "vec_a": pa.array(np.minimum(xa, xb), pa.int64()),
             "vec_b": pa.array(np.maximum(xa, xb), pa.int64()),
@@ -486,9 +497,7 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.9,
     exploded = emb_ds.select_columns([id_col, vec_col]).map_batches(
         _explode, batch_format="pyarrow"
     )
-    pairs = exploded.groupby("bucket").map_groups(
-        _bucket_pairs, batch_format="pyarrow"
-    )
+    pairs = sorted_runs(exploded, "bucket", _bucket_pairs)
     # a pair can collide in several bands — dedupe by key
     return pairs.groupby(["vec_a", "vec_b"]).aggregate(
         Max("cosine_pm", alias_name="cosine_pm")

@@ -18,14 +18,14 @@ unbounded:
 1. explode: one (window-hash, doc_id, position) row per window —
    per-token fnv64 over the batch's UNIQUE tokens (factorize) combined
    with position-mixed multipliers; no gram strings are materialized.
-2. fused dedup + membership: ONE coarse-bucket shuffle on
-   ``hash & mask``; every row of a hash lands in the same bucket, so
-   the per-hash distinct-doc count computed inside the bucket is
+2. fused dedup + membership: ONE ``shuffle.sorted_runs`` on the
+   window hash; every row of a hash lands in the same sorted block,
+   so the per-hash distinct-doc count computed inside the block is
    globally exact and duplicated positions are emitted in place —
    no separate groupby(hash) exchange. Shuffles hashes, never text.
 3. per-doc rollup: duplicated positions ∪ per-doc window totals,
-   co-partitioned by ``doc_id & mask``, vectorized run detection per
-   bucket (factorize + bincount — no per-doc Python).
+   one ``sorted_runs`` on ``doc_id``, vectorized run detection per
+   block (factorize + bincount — no per-doc Python).
 
 (:func:`duplicated_window_hashes` exposes the standalone corpus-wide
 duplicated-hash table for callers that want the global artifact.)
@@ -46,8 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import fnv64_bulk
-
-N_COARSE = 64  # power of two; raise with corpus size
+from .shuffle import sorted_runs
 
 # distinct odd multipliers per window position (golden-ratio stepped) —
 # position-sensitive combine, same rationale as the LSH band hash
@@ -92,21 +91,6 @@ def _window_hash_rows(t: pa.Table, text_col: str, n: int):
                    | np.uint64(1))
             wh += th[starts + j] * mix
     return row[starts], wh, t.num_rows
-
-
-def _with_coarse(col: str, n_coarse: int):
-    def _f(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # int64 & small-mask is sign-safe (two's complement low bits)
-        c = pc.cast(
-            pc.bit_wise_and(t.column(col),
-                            pa.scalar(n_coarse - 1, pa.int64())),
-            pa.int32(),
-        )
-        return t.append_column("coarse", c)
-
-    return _f
 
 
 def window_positions(docs_ds, w: int = 8, id_col: str = "doc_id",
@@ -168,25 +152,20 @@ def duplicated_window_hashes(positions_ds):
 
 def duplicated_positions(docs_ds, w: int = 8, id_col: str = "doc_id",
                          text_col: str = "text",
-                         n_coarse: int = N_COARSE,
                          keep_first: bool = False):
     """(doc_id, pos) for every window whose hash occurs in ≥ 2 distinct
     documents — fused dedup + membership in ONE shuffle of position
-    rows. All rows of a given hash land in the same coarse bucket, so
-    the per-hash distinct-doc count computed inside the bucket is
+    rows. All rows of a given hash land in the same sorted block, so
+    the per-hash distinct-doc count computed inside the block is
     globally exact — no separate groupby(gh) exchange, no union.
-    Bucket memory is O(corpus windows / n_coarse); raise n_coarse with
-    the corpus.
 
     ``keep_first=True`` exempts the lowest-doc_id owner of each hash
     (the canonical copy keeps its span — the Lee-et-al removal
-    policy); the per-hash min is bucket-local-exact for the same
+    policy); the per-hash min is block-local-exact for the same
     co-location reason as the count."""
     import pandas as pd
 
     positions = window_positions(docs_ds, w, id_col, text_col)
-    sides = positions.map_batches(
-        _with_coarse("gh", n_coarse), batch_format="pyarrow")
 
     _empty_pos = pd.DataFrame({
         "doc_id": pd.Series([], dtype="int64"),
@@ -209,12 +188,11 @@ def duplicated_positions(docs_ds, w: int = 8, id_col: str = "doc_id",
         out = df.loc[hit, ["doc_id", "pos"]].copy()
         return out.astype({"doc_id": "int64", "pos": "int64"})
 
-    return sides.groupby("coarse").map_groups(
-        _member, batch_format="pandas")
+    return sorted_runs(positions, "gh", lambda t: _member(t.to_pandas()))
 
 
 def window_dup_stats(docs_ds, w: int = 8, id_col: str = "doc_id",
-                     text_col: str = "text", n_coarse: int = N_COARSE):
+                     text_col: str = "text"):
     """Per-document duplicated-span statistics (module docstring).
 
     Every input document appears in the output (docs shorter than w
@@ -222,8 +200,7 @@ def window_dup_stats(docs_ds, w: int = 8, id_col: str = "doc_id",
     import pandas as pd
     import pyarrow.compute as pc
 
-    dup_positions = duplicated_positions(docs_ds, w, id_col, text_col,
-                                         n_coarse)
+    dup_positions = duplicated_positions(docs_ds, w, id_col, text_col)
 
     # --- per-doc rollup ---------------------------------------------------
     def _totals(t: pa.Table) -> pa.Table:
@@ -239,13 +216,13 @@ def window_dup_stats(docs_ds, w: int = 8, id_col: str = "doc_id",
             "kind": pa.array(np.ones(t.num_rows, np.int8)),
         })
 
-    rollup_rows = dup_positions.map_batches(
-        lambda t: t.append_column(
-            "kind", pa.array(np.zeros(t.num_rows, np.int8))),
-        batch_format="pyarrow",
-    ).union(
-        docs_ds.map_batches(_totals, batch_format="pyarrow")
-    ).map_batches(_with_coarse("doc_id", n_coarse), batch_format="pyarrow")
+    rollup_rows = [
+        dup_positions.map_batches(
+            lambda t: t.append_column(
+                "kind", pa.array(np.zeros(t.num_rows, np.int8))),
+            batch_format="pyarrow"),
+        docs_ds.map_batches(_totals, batch_format="pyarrow"),
+    ]
 
     _empty_out = pd.DataFrame({
         "doc_id": pd.Series([], dtype="int64"),
@@ -284,13 +261,12 @@ def window_dup_stats(docs_ds, w: int = 8, id_col: str = "doc_id",
                                 .to_numpy(dtype=np.int64),
         })
 
-    return rollup_rows.groupby("coarse").map_groups(
-        _agg, batch_format="pandas")
+    return sorted_runs(rollup_rows, "doc_id",
+                       lambda t: _agg(t.to_pandas()))
 
 
 def strip_dup_spans(docs_ds, w: int = 8, id_col: str = "doc_id",
-                    text_col: str = "text", n_coarse: int = N_COARSE,
-                    keep_first: bool = False):
+                    text_col: str = "text", keep_first: bool = False):
     """Remove cross-document duplicated spans from every document —
     the removal action of exact substring dedup.
 
@@ -304,14 +280,14 @@ def strip_dup_spans(docs_ds, w: int = 8, id_col: str = "doc_id",
     every shared passage survives (Lee-et-al policy).
 
     Shape: duplicated positions (one fused shuffle, see
-    :func:`duplicated_positions`) ∪ document texts, co-partitioned by
-    ``doc_id & mask`` — texts move ONCE; coverage/kept masks are
-    packed-key numpy set ops per bucket."""
+    :func:`duplicated_positions`) ∪ document texts, one
+    ``sorted_runs`` on ``doc_id`` — texts move ONCE; coverage/kept
+    masks are packed-key numpy set ops per sorted block."""
     import pandas as pd
     import pyarrow.compute as pc
 
     dup_positions = duplicated_positions(docs_ds, w, id_col, text_col,
-                                         n_coarse, keep_first=keep_first)
+                                         keep_first=keep_first)
 
     def _pos_rows(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -329,12 +305,8 @@ def strip_dup_spans(docs_ds, w: int = 8, id_col: str = "doc_id",
             "kind": pa.array(np.ones(t.num_rows, np.int8)),
         })
 
-    rows = dup_positions.map_batches(
-        _pos_rows, batch_format="pyarrow"
-    ).union(
-        docs_ds.map_batches(_text_rows, batch_format="pyarrow")
-    ).map_batches(_with_coarse("doc_id", n_coarse),
-                  batch_format="pyarrow")
+    rows = [dup_positions.map_batches(_pos_rows, batch_format="pyarrow"),
+            docs_ds.map_batches(_text_rows, batch_format="pyarrow")]
 
     _empty = pd.DataFrame({
         "doc_id": pd.Series([], dtype="int64"),
@@ -401,8 +373,7 @@ def strip_dup_spans(docs_ds, w: int = 8, id_col: str = "doc_id",
             "n_tokens_removed": lens - kept_counts.astype(np.int64),
         })
 
-    return rows.groupby("coarse").map_groups(_strip,
-                                             batch_format="pandas")
+    return sorted_runs(rows, "doc_id", lambda t: _strip(t.to_pandas()))
 
 
 def cdc_chunks(docs_ds, mod: int = 64, window: int = 8,
@@ -472,23 +443,20 @@ def cdc_chunks(docs_ds, mod: int = 64, window: int = 8,
 
 
 def cdc_chunk_census(docs_ds, mod: int = 64, window: int = 8,
-                     text_col: str = "text", group_col: str = "source",
-                     n_buckets: int = N_COARSE):
+                     text_col: str = "text", group_col: str = "source"):
     """Chunk-level storage-dedup census per ``group_col`` →
     ``(source, n_chunks, n_distinct_chunks, bytes_total,
     bytes_distinct, saved_bp)`` — how many bytes a content-addressed
     chunk store saves over raw storage (saved_bp in basis points).
 
     Scale shape: totals are a map-side combine + tiny final groupby;
-    the distinct side NEVER runs a keyed groupby over per-chunk
-    groups (millions of 1-3-row groups — the measured 40×-slow shape,
-    SURVEY §10.4). Instead: local per-batch dedup → ONE hash(ch)
-    bucket shuffle (~n_buckets groups) → in-bucket lexsort dedup
-    fused with per-source partial counts → tiny final groupby(source).
-    Only (source, md5, len) rows shuffle, never text."""
+    the distinct side never pays a Python call per chunk: local
+    per-batch dedup → ONE
+    ``sorted_runs`` on the chunk hash → per-block lexsort dedup fused
+    with per-source partial counts → tiny final groupby(source). Only
+    (source, md5, len) rows shuffle, never text."""
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fnv64_bulk
     from .shuffle import two_phase_aggregate
 
     chunks = cdc_chunks(docs_ds, mod=mod, window=window,
@@ -501,20 +469,17 @@ def cdc_chunk_census(docs_ds, mod: int = 64, window: int = 8,
     })
 
     def _local(t: pa.Table) -> pa.Table:
-        # batch-local distinct + bucket tag (cuts shuffle volume on
-        # dup-heavy corpora; global dedup happens in the bucket)
+        # batch-local distinct (cuts shuffle volume on dup-heavy
+        # corpora; global dedup happens in the sorted block)
         idx = pc.sort_indices(t, sort_keys=[
             (group_col, "ascending"), ("ch", "ascending")])
         t = t.take(idx)
         g = np.asarray(t.column(group_col).to_pylist(), dtype=object)
         ch = np.asarray(t.column("ch").to_pylist(), dtype=object)
         keep = np.r_[True, (g[1:] != g[:-1]) | (ch[1:] != ch[:-1])]
-        t = t.filter(pa.array(keep))
-        hb = fnv64_bulk(t.column("ch").to_pylist())
-        return t.append_column(
-            "_b", pa.array((hb % np.uint64(n_buckets)).astype(np.int32)))
+        return t.filter(pa.array(keep))
 
-    def _bucket_distinct(g: pa.Table) -> pa.Table:
+    def _distinct_chunks(g: pa.Table) -> pa.Table:
         gg = np.asarray(g.column(group_col).to_pylist(), dtype=object)
         ch = np.asarray(g.column("ch").to_pylist(), dtype=object)
         cl = g.column("clen").to_numpy(zero_copy_only=False)
@@ -534,9 +499,9 @@ def cdc_chunk_census(docs_ds, mod: int = 64, window: int = 8,
 
     from ray.data.aggregate import Sum
 
-    distinct = (chunks.map_batches(_local, batch_format="pyarrow")
-                .groupby("_b")
-                .map_groups(_bucket_distinct, batch_format="pyarrow")
+    distinct = (sorted_runs(chunks.map_batches(_local,
+                                               batch_format="pyarrow"),
+                            "ch", _distinct_chunks, nulls="raise")
                 .groupby(group_col)
                 .aggregate(Sum("n_distinct_chunks",
                                alias_name="n_distinct_chunks"),

@@ -1062,19 +1062,18 @@ def inverted_index(docs_ds, max_postings: int = 10,
     batch, so per-batch distinct is globally exact and the shuffle
     carries O(per-doc vocab), never token instances.
 
-    Phase 2 (one keyed shuffle): pairs are hash-bucketed by word and
-    each bucket is reduced in one vectorized kernel — sort by (word,
-    doc_id), run-length the word runs, df = run length, postings = the
-    first ``max_postings`` doc_ids joined ','. Bucketing by hash (not
-    groupby(word) with per-token groups) keeps group count bounded and
-    skew-proof: a degenerate token ('the', df≈N) still emits ONE row
-    of max_postings ids + its exact df, never an unbounded list.
+    Phase 2 (one keyed shuffle): ``shuffle.sorted_runs`` on the word,
+    and each sorted block is reduced in one vectorized kernel — sort
+    by (word, doc_id), run-length the word runs, df = run length,
+    postings = the first ``max_postings`` doc_ids joined ','. No
+    per-token call: a degenerate token ('the', df≈N) still emits ONE
+    row of max_postings ids + its exact df, never an unbounded list.
 
     → (word, df, postings). The cap is part of the operator contract
     (a real index shards full posting lists to Parquet; the capped
     head is what a driver-side comparator can hold).
     """
-    n_buckets = 64
+    from .shuffle import sorted_runs
 
     def _pairs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1089,23 +1088,11 @@ def inverted_index(docs_ds, max_postings: int = 10,
             "word": flat.filter(keep),
             "doc_id": ids.filter(keep),
         })
-        dist = pairs.group_by(["word", "doc_id"]).aggregate([])
-        # stable cross-process bucket hash (never Python's salted hash)
-        import zlib
-
-        hv = np.array(
-            [zlib.crc32(w.encode("utf-8")) for w in
-             dist.column("word").to_pylist()], dtype=np.int64)
-        return dist.append_column(
-            "bucket", pa.array(hv % n_buckets, pa.int64()))
+        return pairs.group_by(["word", "doc_id"]).aggregate([])
 
     def _reduce(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if g.num_rows == 0:
-            return pa.table({"word": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64()),
-                             "postings": pa.array([], pa.string())})
         idx = pc.sort_indices(
             g, sort_keys=[("word", "ascending"), ("doc_id", "ascending")])
         s = g.take(idx)
@@ -1126,11 +1113,8 @@ def inverted_index(docs_ds, max_postings: int = 10,
             "postings": pa.array(postings, pa.string()),
         })
 
-    return (
-        docs_ds.map_batches(_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_reduce, batch_format="pyarrow")
-    )
+    return sorted_runs(docs_ds.map_batches(_pairs, batch_format="pyarrow"),
+                       "word", _reduce)
 
 
 def bigram_topk(docs_ds, k: int = 20, text_col: str = "text"):

@@ -196,7 +196,7 @@ def winnow_table(docs_ds, hash_window: int = 8, sel_window: int = 16,
 
 
 def winnow_pairs(docs_ds, min_shared: int = 2, hash_window: int = 8,
-                 sel_window: int = 16, n_buckets: int = 64,
+                 sel_window: int = 16,
                  concurrency=(1, 4), max_postings: int = 512):
     """MOSS-style overlap detection: document pairs sharing ≥
     ``min_shared`` winnowing fingerprints → (doc_a, doc_b, n_shared).
@@ -212,20 +212,19 @@ def winnow_pairs(docs_ds, min_shared: int = 2, hash_window: int = 8,
     8-byte window (a boilerplate n-gram held by 10⁵ docs) emits
     C(10⁵, 2) ≈ 5·10⁹ pair rows — the r4 10× stress sweep ran the
     uncapped form out of DISK via object-store spill. The drop is
-    exact and mirrored by the SQL oracle's HAVING; the bucket group
-    holds every posting of each fingerprint (bucket = hash(fp)), so
-    the cap is a run-length check — zero extra shuffle.
+    exact and mirrored by the SQL oracle's HAVING; a sorted block
+    holds every posting of each of its fingerprints, so the cap is a
+    run-length check — zero extra shuffle.
 
     Shape: the selected-fingerprint table (≈ n_chars/sel_window rows
-    per doc, 16 bytes each) takes one groupby(fp) pair explosion and
-    one bucketed count — the shared-count aggregation uses the
-    hash-bucket + in-group lexsort shape (a keyed groupby over
-    millions of 1-3-row pair groups measured 40× slower in
-    stages/setjoin)."""
+    per doc, 16 bytes each) takes one ``shuffle.sorted_runs`` on the
+    fingerprint for the pair explosion and one ``shuffle.pair_counts``
+    for the shared counts."""
     import logging
 
     import pyarrow.compute as pc
 
+    from .shuffle import pair_counts, sorted_runs
     from .textstats import _rolling_hashes
 
     logger = logging.getLogger(__name__)
@@ -248,12 +247,6 @@ def winnow_pairs(docs_ds, min_shared: int = 2, hash_window: int = 8,
 
     fps = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         _fps, batch_format="pyarrow")
-
-    def _bucket_fp(t: pa.Table) -> pa.Table:
-        f = t.column("fp").to_numpy(zero_copy_only=False)
-        b = ((f * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(n_buckets)
-        return t.append_column("_b", pa.array(b.astype(np.int32)))
 
     def _pairs(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[("fp", "ascending"),
@@ -282,36 +275,11 @@ def winnow_pairs(docs_ds, min_shared: int = 2, hash_window: int = 8,
         return pa.table({"doc_a": pa.array(a, pa.int64()),
                          "doc_b": pa.array(b, pa.int64())})
 
-    pairs = fps.map_batches(_bucket_fp, batch_format="pyarrow").groupby(
-        "_b").map_groups(_pairs, batch_format="pyarrow")
-
-    def _bucket_pair(t: pa.Table) -> pa.Table:
-        a = t.column("doc_a").to_numpy(zero_copy_only=False)
-        b = t.column("doc_b").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            mix = (a.astype(np.uint64) * np.uint64(1099511628211)) \
-                ^ b.astype(np.uint64)
-        bb = ((mix * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(n_buckets)
-        return t.append_column("_b", pa.array(bb.astype(np.int32)))
-
-    def _count(g: pa.Table) -> pa.Table:
-        a = g.column("doc_a").to_numpy(zero_copy_only=False)
-        b = g.column("doc_b").to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        starts = np.flatnonzero(
-            np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        n = np.diff(np.r_[starts, len(a)])
-        keep = n >= min_shared
-        return pa.table({
-            "doc_a": pa.array(a[starts][keep], pa.int64()),
-            "doc_b": pa.array(b[starts][keep], pa.int64()),
-            "n_shared": pa.array(n[keep], pa.int64()),
-        })
-
-    return pairs.map_batches(_bucket_pair, batch_format="pyarrow") \
-        .groupby("_b").map_groups(_count, batch_format="pyarrow")
+    pairs = sorted_runs(fps, "fp", _pairs)
+    return pair_counts(pairs, "doc_a", "doc_b", "n_shared").map_batches(
+        lambda t: t.filter(pc.greater_equal(t.column("n_shared"),
+                                            min_shared)),
+        batch_format="pyarrow")
 
 
 # ---- first-occurrence novelty scoring -------------------------------------
@@ -514,7 +482,7 @@ def heavy_hitters_mg(docs_ds, capacity: int = 64,
 
 
 def source_contamination(docs_ds, hash_window: int = 8,
-                         sel_window: int = 16, n_buckets: int = 64):
+                         sel_window: int = 16):
     """Cross-source contamination matrix: for every pair of sources,
     the number of DISTINCT winnowing fingerprints they share — the
     corpus-forensics view ("which feeds copy from each other / share
@@ -523,12 +491,13 @@ def source_contamination(docs_ds, hash_window: int = 8,
 
     Shape: per-doc fingerprint selection (same hash/window contract as
     :func:`winnow_pairs`, de-duplicated per doc), tagged with the
-    doc's source, then ONE fp-hash bucket shuffle; in-bucket ONE
-    lexsort gives both the (fp, source) distinct step and the per-fp
+    doc's source, then ONE ``shuffle.sorted_runs`` on the fingerprint;
+    per sorted block ONE lexsort gives both the (fp, source) distinct
+    step and the per-fp
     source runs, and pair generation groups runs by length class
     (source count per fp is bounded by the source cardinality, so the
     per-class `triu_indices` matrix trick from host_triangles applies;
-    no per-fp Python loop over a length-1 class). Per-bucket partial
+    no per-fp Python loop over a length-1 class). Per-block partial
     (src_a, src_b) counts combine before the final tiny keyed
     aggregate (≤ C(|sources|, 2) rows).
 
@@ -536,7 +505,7 @@ def source_contamination(docs_ds, hash_window: int = 8,
     """
     import pyarrow.compute as pc
 
-    from .shuffle import two_phase_aggregate
+    from .shuffle import sorted_runs, two_phase_aggregate
     from .textstats import _rolling_hashes
 
     def _fps(t: pa.Table) -> pa.Table:
@@ -556,12 +525,6 @@ def source_contamination(docs_ds, hash_window: int = 8,
 
     fps = docs_ds.select_columns(["source", "text"]).map_batches(
         _fps, batch_format="pyarrow")
-
-    def _bucket_fp(t: pa.Table) -> pa.Table:
-        f = t.column("fp").to_numpy(zero_copy_only=False)
-        b = ((f * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(n_buckets)
-        return t.append_column("_b", pa.array(b.astype(np.int32)))
 
     def _pairs(g: pa.Table) -> pa.Table:
         f = g.column("fp").to_numpy(zero_copy_only=False)
@@ -593,7 +556,7 @@ def source_contamination(docs_ds, hash_window: int = 8,
             })
         a = np.concatenate(a_parts)
         b = np.concatenate(b_parts)
-        # in-bucket combine: one lexsort over the pair codes
+        # in-block combine: one lexsort over the pair codes
         comp = a.astype(np.int64) * len(uniq) + b
         comp.sort()
         cs = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
@@ -606,8 +569,7 @@ def source_contamination(docs_ds, hash_window: int = 8,
             "n_shared_fps": pa.array(n, pa.int64()),
         })
 
-    partials = fps.map_batches(_bucket_fp, batch_format="pyarrow") \
-        .groupby("_b").map_groups(_pairs, batch_format="pyarrow")
+    partials = sorted_runs(fps, "fp", _pairs)
     return two_phase_aggregate(
         partials, ("src_a", "src_b"),
         {"n_shared_fps": ("n_shared_fps", "sum")})
