@@ -50,6 +50,21 @@ class TestKernels:
         h = _key_hash_u64(col)
         assert h.dtype == np.uint64 and len(set(h.tolist())) == 3
 
+    def test_string_keys_hash_arrow_buffers(self):
+        # the string path hashes the Arrow buffers directly; same hashes
+        # as the old Python-list route, chunked and sliced alike
+        keys = pa.array([f"key-{i}" for i in range(300)] + ["", "é€"])
+        for col in (pa.chunked_array([keys]),
+                    pa.chunked_array([keys.slice(7, 100), keys.slice(150)]),
+                    pa.chunked_array([keys]).slice(5, 200)):
+            h = _key_hash_u64(col)
+            assert h.dtype == np.uint64
+            assert np.array_equal(h, fnv64_bulk(col.to_pylist()))
+
+    def test_string_keys_null_raises(self):
+        with pytest.raises(ValueError):
+            _key_hash_u64(pa.chunked_array([pa.array(["a", None])]))
+
     def test_positions_within_range(self):
         pos = _positions(fnv64_bulk(["a", "b"]), 10, 5)
         assert pos.shape == (2, 5)

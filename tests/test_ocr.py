@@ -3,6 +3,7 @@
 
 import base64
 
+import pyarrow as pa
 import pytest
 
 from web_mass_scraper_ocr_ray.functions.metadata import (
@@ -17,7 +18,21 @@ from web_mass_scraper_ocr_ray.ocr.engine import (
     make_engine,
     parse_data_url,
 )
-from web_mass_scraper_ocr_ray.stages.ocr_stage import ocr_page_images
+from web_mass_scraper_ocr_ray.ocr.engine import OCROutput
+from web_mass_scraper_ocr_ray.stages import ocr_stage
+from web_mass_scraper_ocr_ray.stages.extract import (
+    IMAGE_REF_TYPE,
+    SPAN_TYPE,
+    classify_image_ref,
+)
+from web_mass_scraper_ocr_ray.stages.ocr_stage import (
+    OCR_FLAT_COLUMNS,
+    OCR_ITEM_TYPE,
+    OCR_ROLLUP_TYPE,
+    OCRStage,
+    empty_ocr_columns,
+    ocr_page_images,
+)
 
 
 def b64(b: bytes) -> str:
@@ -192,6 +207,218 @@ class TestRollupMath:
                  total_ocr_no_text_found=1)
         assert finalize_session_summary(c)[
             "average_success_rate_on_processable"] == 75.0
+
+
+# ---- flat OCR route == the per-row reference --------------------------
+
+def _reference_ocr(stage, batch):
+    """The per-row construction the flat route replaced: one
+    ``ocr_page_images`` + ``create_ocr_metadata`` +
+    ``ocr_status_histogram`` + ``round(rate, 2)`` per row, every column
+    built by ``pa.array`` over Python lists of dicts."""
+    items_out, failed_out, rollups, rates = [], [], [], []
+    flats = {name: [] for name, _ in OCR_FLAT_COLUMNS}
+    for refs in batch.column("images").to_pylist():
+        items, failed = ocr_page_images(stage.engine, refs,
+                                        downloader=stage.downloader)
+        items_out.append(items)
+        failed_out.append(failed)
+        rollups.append(create_ocr_metadata(items))
+        hist = ocr_status_histogram(items)
+        errors = (hist["error_unsupported_format"] + hist["error_processing"]
+                  + hist["error_file_not_found"] + hist["error_tesseract"])
+        for name, v in zip(flats, (
+                len(items), hist["success"], hist["no_text_found"],
+                hist["error_unsupported_format"], hist["error_processing"],
+                hist["error_file_not_found"], hist["error_tesseract"], errors)):
+            flats[name].append(v)
+        rates.append(round(ocr_success_rate_on_processable(hist, len(items)), 2))
+    out = batch.drop_columns(["images"])
+    out = out.append_column("images", pa.array(items_out, pa.list_(OCR_ITEM_TYPE)))
+    out = out.append_column("failed_images",
+                            pa.array(failed_out, pa.list_(pa.string())))
+    out = out.append_column("ocr", pa.array(rollups, OCR_ROLLUP_TYPE))
+    for name, typ in OCR_FLAT_COLUMNS:
+        out = out.append_column(name, pa.array(flats[name], typ))
+    return out.append_column("ocr_success_rate_on_processable",
+                             pa.array(rates, pa.float64()))
+
+
+def _src_of_class():
+    """payload class r → one image src of that class (sources/pages.py:
+    r = (d*7 + i*3) % 10, so d = 0..9 at i = 0 hits every class)."""
+    from web_mass_scraper_ocr_ray.sources.pages import image_src
+
+    return {(d * 7) % 10: image_src(d, 0) for d in range(10)}
+
+
+_PAGE = "https://www.host001.example.com/docs/1"
+_UNDECODABLE = "data:image/png;base64,A"   # bad padding → failed_images
+_INVALID_EMPTY = {"image_url": "", "src": "", "payload_kind": "invalid"}
+_INVALID = {"image_url": "::", "src": "::", "payload_kind": "invalid"}
+
+
+def _refs_batch(pages):
+    return pa.table({
+        "url": pa.array([f"https://h.example.com/{i}" for i in range(len(pages))]),
+        "images": pa.array(pages, pa.list_(IMAGE_REF_TYPE)),
+    })
+
+
+def _mixed_pages():
+    by_class = _src_of_class()
+    ref = {r: classify_image_ref(src, _PAGE) for r, src in by_class.items()}
+    bad = classify_image_ref(_UNDECODABLE, _PAGE)
+    return [
+        [ref[r] for r in range(10)],                 # every payload class
+        [],                                          # zero images
+        [ref[5], _INVALID_EMPTY, bad, ref[6]],
+        [ref[3], ref[3]],                            # only no_text_found
+        [_INVALID, ref[0], ref[1], ref[2], ref[4]],  # nothing processable
+        [ref[9], ref[7], ref[8], ref[5], ref[6], ref[3], ref[1]],
+    ]
+
+
+class _OffTaxonomyEngine(StubOCREngine):
+    """Stub, except STUB1:odd* payloads report a status outside the
+    reference taxonomy (with text, so it must not count as success)."""
+
+    def ocr(self, payload, mime):
+        if payload.startswith(b"STUB1:odd"):
+            return OCROutput("odd text", 8, 2, "weird_status")
+        return super().ocr(payload, mime)
+
+
+class TestFlatOcrRoute:
+    def _check(self, stage, batch):
+        got = stage(batch)
+        want = _reference_ocr(stage, batch)
+        assert got.schema == want.schema
+        assert got.equals(want)
+        return got
+
+    def test_every_payload_class(self):
+        got = self._check(OCRStage(), _refs_batch(_mixed_pages()))
+        row = got.slice(2, 1).to_pylist()[0]
+        assert row["failed_images"] == ["unknown_src_on_failed_construct",
+                                        _UNDECODABLE]
+        assert got.column("ocr_attempts").to_pylist() == [9, 0, 2, 2, 3, 7]
+
+    def test_status_outside_taxonomy(self):
+        stage = OCRStage()
+        stage.engine = _OffTaxonomyEngine()
+        odd = {"image_url": "data:image/png;base64," + b64(b"STUB1:odd"),
+               "src": "o", "payload_kind": "data"}
+        ok = classify_image_ref(_src_of_class()[5], _PAGE)
+        got = self._check(stage, _refs_batch([[odd, ok, odd], [odd]]))
+        row = got.to_pylist()[0]
+        # an attempt and ocr_failed, but in no histogram bin
+        assert row["ocr_attempts"] == 3 and row["ocr_successes"] == 1
+        assert row["ocr_total_errors"] == 0
+        assert [i["ocr_failed"] for i in row["images"]] == [True, False, True]
+
+    def test_empty_batch(self):
+        self._check(OCRStage(), _refs_batch(_mixed_pages()).slice(0, 0))
+
+    def test_sliced_batch(self):
+        self._check(OCRStage(), _refs_batch(_mixed_pages()).slice(2, 3))
+
+    def test_multi_chunk_images(self):
+        pages = _mixed_pages()
+        batch = pa.concat_tables([_refs_batch(pages[:2]).slice(1),
+                                  _refs_batch(pages[2:]).slice(1)])
+        assert batch.column("images").num_chunks == 2
+        self._check(OCRStage(), batch)
+
+    def test_downloader_path(self):
+        def transport(url, timeout):
+            if url.endswith("_1.png"):
+                return 404, "image/png", iter([b""])
+            return 200, "image/png", iter([b"STUB1:remote ", url.encode()])
+
+        stage = OCRStage(fetch_remote_images=True, image_transport=transport,
+                         image_fetch_kwargs={"rate": 1e9, "retry_count": 1})
+        remote = [classify_image_ref(f"/img/{k}_{k % 2}.png", _PAGE)
+                  for k in range(4)]
+        pages = [remote[:2] + _mixed_pages()[0], [], remote[2:]]
+        got = self._check(stage, _refs_batch(pages))
+        assert got.column("ocr_successes").to_pylist()[2] == 1
+
+    def test_engine_looked_up_per_call(self):
+        stage = OCRStage()
+        calls = []
+        inner = stage.engine.ocr
+
+        def counted(payload, mime):
+            calls.append(mime)
+            return inner(payload, mime)
+
+        stage.engine.ocr = counted
+        stage(_refs_batch(_mixed_pages()))
+        assert len(calls) == 23
+
+    def test_production_does_not_call_scalar_reference(self, monkeypatch):
+        def boom(*a, **k):
+            raise AssertionError("per-page reference called")
+
+        monkeypatch.setattr(ocr_stage, "ocr_page_images", boom)
+        OCRStage()(_refs_batch(_mixed_pages()))
+        ocr_stage.ocr_batch_fused(_refs_batch(_mixed_pages()))
+
+
+class TestOcrLessModes:
+    """The mode gates build their blank columns with zero-length offsets;
+    values and schema equal the per-row Python-list construction."""
+
+    def _extracted(self):
+        from web_mass_scraper_ocr_ray.stages.extract import extract_batch
+
+        html = b"<p>hello world</p><img src='x.png'>"
+        return extract_batch(pa.table({
+            "url": ["https://a.example.com/1", "bad", "https://a.example.com/2"],
+            "html": pa.array([html, html, None], pa.binary()),
+        }))
+
+    def test_text_mode_empty_ocr_columns(self):
+        batch = self._extracted()
+        n = batch.num_rows
+        want = batch.drop_columns(["images"])
+        want = want.append_column("images",
+                                  pa.array([[]] * n, pa.list_(OCR_ITEM_TYPE)))
+        want = want.append_column("failed_images",
+                                  pa.array([[]] * n, pa.list_(pa.string())))
+        rollup = {"total_ocr_text": "", "total_ocr_text_length": 0,
+                  "total_ocr_word_count": 0, "image_count": 0,
+                  "successful_ocr_count": 0, "success_rate": 0.0}
+        want = want.append_column("ocr", pa.array([rollup] * n, OCR_ROLLUP_TYPE))
+        for name, typ in OCR_FLAT_COLUMNS:
+            want = want.append_column(name, pa.array([0] * n, typ))
+        want = want.append_column("ocr_success_rate_on_processable",
+                                  pa.array([0.0] * n, pa.float64()))
+        for b, w in ((batch, want), (batch.slice(1, 2), want.slice(1, 2)),
+                     (batch.slice(0, 0), want.slice(0, 0))):
+            got = empty_ocr_columns(b)
+            assert got.schema == w.schema and got.equals(w)
+
+    def test_ocr_mode_gate_blanks_text(self):
+        from web_mass_scraper_ocr_ray.pipelines.extract_pipeline import (
+            _mode_gate_batch,
+        )
+
+        batch = self._extracted()
+        for b in (batch, batch.slice(1, 2), batch.slice(0, 0)):
+            n = b.num_rows
+            want = b
+            for col, arr in (
+                    ("text", pa.array([""] * n, pa.string())),
+                    ("spans", pa.array([[]] * n, pa.list_(SPAN_TYPE))),
+                    ("text_length", pa.array([0] * n, pa.int64())),
+                    ("word_count", pa.array([0] * n, pa.int64())),
+                    ("paragraph_count", pa.array([0] * n, pa.int64()))):
+                want = want.set_column(want.schema.get_field_index(col), col, arr)
+            got = _mode_gate_batch(b, "ocr")
+            assert got.schema == want.schema and got.equals(want)
+        assert _mode_gate_batch(batch, "text") is batch
 
 
 class _FakeImage:

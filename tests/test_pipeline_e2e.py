@@ -56,6 +56,47 @@ def test_byte_identical_text_vs_oracle(extracted_rows):
         assert [dict(s) for s in got["spans"]] == golden["spans"], url
 
 
+def test_extract_batch_equals_row_kernel(monkeypatch):
+    """The batch loop (one shared url parse per row, data: refs without
+    urljoin, refs straight into flat columns) equals the scalar
+    ``extract_row`` on every routed column, padded/invalid urls and
+    every ref kind included; the parser is looked up per call."""
+    import datetime
+
+    from web_mass_scraper_ocr_ray.stages import extract as ex
+
+    html = (b'<p>a b</p><img src="data:image/png;base64,QUJD">'
+            b'<img src="/img/1.png"><img src="https://c.example.com/i.png">'
+            b'<img src="data://[x"><img src="DATA:x">'
+            b'<embed src="data:application/pdf;base64,QQ==">'
+            b'<object data="/d/r.PDF?x=1"></object><embed src="/e" type="t/x">')
+    urls = ["https://a.example.com/p/1", " https://a.example.com/p/2 ",
+            "not a url", "", None, "https://[x/p", "ftp://f.example.com/x",
+            "https://www.Host-9.example.com:81/docs/3?q=1",
+            "https://a.example.com ", "\u2003https://a.example.com/p"]
+    tbl = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array([datetime.datetime(2024, 1, 1)] * len(urls),
+                            pa.timestamp("us")),
+        "html": pa.array([html] * len(urls), pa.binary()),
+    })
+    calls = []
+    parse = ex.extract_visible_text_fast
+
+    def counted(*a, **k):
+        calls.append(1)
+        return parse(*a, **k)
+
+    monkeypatch.setattr(ex, "extract_visible_text_fast", counted)
+    got = ex.extract_batch(tbl).to_pylist()
+    assert len(calls) == 5  # the valid rows only
+    for url, row in zip(urls, got):
+        want = extract_row(url, html)
+        for col in ("hostname", "text", "images", "docs", "status",
+                    "error_type", "error_message", "word_count"):
+            assert row[col] == want[col], (url, col)
+
+
 def test_ocr_statuses_match_generation_contract(extracted_rows):
     """The synthesis contract (sources/pages.py) fixes each image's fate."""
     for url, row in extracted_rows.items():

@@ -1,6 +1,7 @@
 """validate_url truth table (utils.py:32-63) + url scalar functions."""
 
 import hashlib
+from urllib.parse import urljoin, urlparse
 
 import pytest
 
@@ -10,6 +11,7 @@ from web_mass_scraper_ocr_ray.functions.urltools import (
     get_url_specific_safe_dirname,
     normalize_hostname,
     validate_url,
+    validate_url_and_hostname,
 )
 
 
@@ -106,6 +108,35 @@ class TestConstructAbsoluteUrl:
         out = construct_absolute_url("data:image/png;base64,AAAA", "https://b.com")
         assert out == "data:image/png;base64,AAAA"
 
+    @staticmethod
+    def _via_urljoin(url, base_url):
+        """The parse-then-join route every ref took before the data:
+        fast path (utils.py:19-30)."""
+        if not url:
+            return None
+        try:
+            parsed = urlparse(url)
+            if parsed.scheme and parsed.netloc:
+                return url
+            return urljoin(base_url, url)
+        except Exception:
+            return None
+
+    @pytest.mark.parametrize("url", [
+        "data:", "data:,", "data:#f", "data:?q", "data:a b\n\tc",
+        "data:123", "data:image/png;base64,AAAA#frag?x",
+        "data://[x", "data://host/p", "DATA:x", " data:x", "\tdata:x",
+    ])
+    @pytest.mark.parametrize("base", [
+        "https://b.com/dir/page?q=1", "", "data:text/plain,base",
+    ])
+    def test_data_fast_path_equals_urljoin_route(self, url, base):
+        assert construct_absolute_url(url, base) == self._via_urljoin(url, base)
+
+    def test_data_netloc_still_fails_construct(self):
+        # urlsplit raises on the bracketed netloc → unconstructable
+        assert construct_absolute_url("data://[x", "https://b.com") is None
+
 
 class TestNormalizeHostname:
     def test_basic(self):
@@ -121,6 +152,21 @@ class TestNormalizeHostname:
 
     def test_port_sanitized(self):
         assert normalize_hostname("https://a.com:8080/x") == "a_com_8080"
+
+
+@pytest.mark.parametrize("url", [
+    "https://www.Host-1.Example.com/x", "https://a.com:8080/x?q=1",
+    " https://a.com/x", "https://a.com/x ", "\thttps://a.com/x\n",
+    # padding that changes the raw parse's netloc
+    "https://a.com ", "https://a.com\u2003", "\u2003https://a.com/x",
+    "not-a-url", "ftp://files.example.com/x", "https://a b.com/x",
+    "https://[x/p", " https://[x/p", "https://ab/x", "//a.com/x",
+    "", "   ", None, 7, b"https://a.com/x", "https://\ud800.com/x",
+])
+def test_shared_parse_equals_separate_calls(url):
+    want = (*validate_url(url),
+            normalize_hostname(url if isinstance(url, str) else ""))
+    assert validate_url_and_hostname(url) == want
 
 
 class TestGetSafeFilename:

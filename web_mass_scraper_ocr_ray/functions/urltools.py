@@ -4,8 +4,11 @@ Fresh implementations matching the observable semantics of the reference
 (``/root/reference/src/scraper_app/utils.py``):
 
   - ``validate_url``       — utils.py:32-63 (full branch-for-branch truth table)
-  - ``construct_absolute_url`` — utils.py:19-30
+  - ``construct_absolute_url`` — utils.py:19-30 (``data:`` refs pass
+    through without a parse — same result, see its docstring)
   - ``normalize_hostname`` — utils.py:360-370
+  - ``validate_url_and_hostname`` — the two above from one shared
+    ``urlparse`` of an already-stripped page url
   - ``get_safe_filename``  — utils.py:232-267
   - ``get_url_specific_safe_dirname`` — utils.py:372-390
 
@@ -39,6 +42,53 @@ def _md5_hex(s: str) -> str:
     return hashlib.md5(s.encode("utf-8")).hexdigest()
 
 
+def _validate(url: object) -> Tuple[bool, str, Optional[str]]:
+    """``validate_url`` plus the netloc of its one ``urlparse`` of the
+    stripped url (None when nothing was parsed: empty/non-string input
+    or a parse error)."""
+    if not url or not isinstance(url, str):
+        return False, "URL must be a non-empty string", None
+    url = url.strip()
+    try:
+        parsed = urlparse(url)
+    except Exception as exc:  # urlparse can raise on exotic input
+        return False, f"Failed to parse URL: {exc}", None
+    netloc = parsed.netloc
+    if not parsed.scheme:
+        return False, "URL must include a scheme", netloc
+    if not netloc:
+        return False, "URL must include a domain name", netloc
+    if parsed.scheme not in ("http", "https"):
+        return False, f"Unsupported URL scheme: '{parsed.scheme}'", netloc
+    if " " in url:
+        return False, "URL contains spaces", netloc
+    if "." not in netloc:
+        return False, f"Invalid domain format: '{netloc}'", netloc
+    if len(netloc) < 3:
+        return False, f"Domain name too short: '{netloc}'", netloc
+    if len(url) > 2048:
+        return False, "URL exceeds maximum length of 2048 characters", netloc
+    if _INVALID_RE.search(netloc):
+        return False, "URL contains invalid characters in domain name", netloc
+    if parsed.path:
+        if " " in parsed.path:
+            return False, "URL path contains spaces", netloc
+        if _INVALID_RE.search(parsed.path):
+            return False, "URL path contains invalid characters", netloc
+        if "//" in parsed.path:
+            return False, "URL path contains consecutive slashes", netloc
+        if len(parsed.path) > 2048:
+            return False, "URL path exceeds maximum length", netloc
+    if parsed.query:
+        if " " in parsed.query:
+            return False, "URL query contains spaces", netloc
+        if _INVALID_RE.search(parsed.query):
+            return False, "URL query contains invalid characters", netloc
+        if len(parsed.query) > 2048:
+            return False, "URL query exceeds maximum length", netloc
+    return True, "", netloc
+
+
 def validate_url(url: object) -> Tuple[bool, str]:
     """Validate a URL for scraping. Mirrors utils.py:32-63 branch order.
 
@@ -46,52 +96,37 @@ def validate_url(url: object) -> Tuple[bool, str]:
     status='failed', error_type='InvalidURL' (main.py:405-407) — a
     partitioning predicate, never a task failure.
     """
-    if not url or not isinstance(url, str):
-        return False, "URL must be a non-empty string"
-    url = url.strip()
-    try:
-        parsed = urlparse(url)
-        if not parsed.scheme:
-            return False, "URL must include a scheme"
-        if not parsed.netloc:
-            return False, "URL must include a domain name"
-        if parsed.scheme not in ("http", "https"):
-            return False, f"Unsupported URL scheme: '{parsed.scheme}'"
-        if " " in url:
-            return False, "URL contains spaces"
-        if "." not in parsed.netloc:
-            return False, f"Invalid domain format: '{parsed.netloc}'"
-        if len(parsed.netloc) < 3:
-            return False, f"Domain name too short: '{parsed.netloc}'"
-        if len(url) > 2048:
-            return False, "URL exceeds maximum length of 2048 characters"
-        if _INVALID_RE.search(parsed.netloc):
-            return False, "URL contains invalid characters in domain name"
-        if parsed.path:
-            if " " in parsed.path:
-                return False, "URL path contains spaces"
-            if _INVALID_RE.search(parsed.path):
-                return False, "URL path contains invalid characters"
-            if "//" in parsed.path:
-                return False, "URL path contains consecutive slashes"
-            if len(parsed.path) > 2048:
-                return False, "URL path exceeds maximum length"
-        if parsed.query:
-            if " " in parsed.query:
-                return False, "URL query contains spaces"
-            if _INVALID_RE.search(parsed.query):
-                return False, "URL query contains invalid characters"
-            if len(parsed.query) > 2048:
-                return False, "URL query exceeds maximum length"
-        return True, ""
-    except Exception as exc:  # urlparse can raise on exotic input
-        return False, f"Failed to parse URL: {exc}"
+    ok, reason, _ = _validate(url)
+    return ok, reason
+
+
+def validate_url_and_hostname(url: object) -> Tuple[bool, str, str]:
+    """``(*validate_url(url), normalize_hostname(url if str else ""))``
+    from ONE ``urlparse`` of the page url — the per-row check of the
+    extract stage. ``validate_url`` parses the stripped url and
+    ``normalize_hostname`` the raw one, so the parse is shared only when
+    ``url == url.strip()``; any other row (padded, non-string, empty,
+    unparsable) takes the two separate calls."""
+    ok, reason, netloc = _validate(url)
+    if netloc is None or url != url.strip():
+        return ok, reason, normalize_hostname(url if isinstance(url, str) else "")
+    return ok, reason, _hostname_of(netloc, url)
 
 
 def construct_absolute_url(url: Optional[str], base_url: str) -> Optional[str]:
-    """Absolute URL if already absolute, else joined to base. utils.py:19-30."""
+    """Absolute URL if already absolute, else joined to base. utils.py:19-30.
+
+    Fast path: a ``data:`` ref (exact lowercase prefix, not ``data://``)
+    is returned as is — ``urlparse`` gives it scheme ``data`` and no
+    netloc, and ``urljoin`` hands back any url whose scheme is not
+    relative-capable unchanged, so parsing its whole base64 payload
+    twice only to return it is skipped. ``data://…`` keeps the slow path
+    (its netloc can make ``urlsplit`` raise → None), as does any other
+    spelling (``DATA:``, leading whitespace)."""
     if not url:
         return None
+    if url.startswith("data:") and not url.startswith("data://"):
+        return url
     try:
         parsed = urlparse(url)
         if parsed.scheme and parsed.netloc:
@@ -101,18 +136,25 @@ def construct_absolute_url(url: Optional[str], base_url: str) -> Optional[str]:
         return None
 
 
+def _hostname_of(netloc: str, url: str) -> str:
+    try:
+        if not netloc:
+            return "unknown_host_" + _md5_hex(url)[:8]
+        return _UNSAFE_HOST.sub("_", netloc.replace(".", "_")).lower()
+    except Exception:
+        return "error_normalizing_host"
+
+
 def normalize_hostname(url: str) -> str:
     """Filesystem-safe lowered hostname; md5 fallback. utils.py:360-370.
 
     Doubles as the per-host groupby/shuffle key (SURVEY.md §2.5 A5).
     """
     try:
-        hostname = urlparse(url).netloc
-        if not hostname:
-            return "unknown_host_" + _md5_hex(url)[:8]
-        return _UNSAFE_HOST.sub("_", hostname.replace(".", "_")).lower()
+        netloc = urlparse(url).netloc
     except Exception:
         return "error_normalizing_host"
+    return _hostname_of(netloc, url)
 
 
 def get_safe_filename(url: str) -> str:

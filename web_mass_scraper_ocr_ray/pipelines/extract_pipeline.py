@@ -26,12 +26,13 @@ import time
 from functools import cache, partial
 from typing import Dict, Iterable, Iterator, Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..functions.metadata import finalize_session_summary
-from ..stages.extract import extract_batch
+from ..stages.extract import SPAN_TYPE, extract_batch
 from ..stages.ocr_stage import OCRStage, empty_ocr_columns
 from ..state import manifest as mf
 
@@ -56,21 +57,18 @@ def _mode_gate_batch(batch: pa.Table, mode: str) -> pa.Table:
     if mode != "ocr":
         return batch
     n = batch.num_rows
-    from ..stages.extract import SPAN_TYPE
-
-    batch = batch.set_column(
-        batch.schema.get_field_index("text"), "text",
-        pa.array([""] * n, pa.string()),
-    )
-    batch = batch.set_column(
-        batch.schema.get_field_index("spans"), "spans",
-        pa.array([[]] * n, pa.list_(SPAN_TYPE)),
-    )
-    for col in ("text_length", "word_count", "paragraph_count"):
-        batch = batch.set_column(
-            batch.schema.get_field_index(col), col,
-            pa.array([0] * n, pa.int64()),
-        )
+    blanks = {
+        "text": pa.repeat("", n),
+        # n empty lists: zero-length offsets over no values
+        "spans": pa.ListArray.from_arrays(
+            pa.array(np.zeros(n + 1, np.int32)),
+            pa.array([], SPAN_TYPE)),
+    }
+    zeros = pa.array(np.zeros(n, np.int64))
+    for col in ("text", "spans", "text_length", "word_count",
+                "paragraph_count"):
+        batch = batch.set_column(batch.schema.get_field_index(col), col,
+                                 blanks.get(col, zeros))
     return batch
 
 

@@ -13,8 +13,13 @@ Covers operators M1 (validate), M2 (absolute-URL resolve), M3
 Scale notes: the per-document DOM parse is irreducibly Python, so the
 batch loop is over rows *of this one column* while every derived column
 is assembled once per batch into Arrow arrays (no per-row Python dict
-churn downstream). ``html`` is dropped right here — multi-MB binary
-payloads never travel past the parse (SURVEY.md §7.4.4).
+churn downstream). The glue around the parse stays thin: each page url
+is parsed ONCE for both the validity check and the hostname key
+(``validate_url_and_hostname``), ``data:`` image refs resolve without
+``urljoin`` over their payload, and image/doc refs go straight into the
+flat accumulators as (url, src, kind) values, never a dict per ref.
+``html`` is dropped right here — multi-MB binary payloads never travel
+past the parse (SURVEY.md §7.4.4).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from ..functions.urltools import (
     construct_absolute_url,
     normalize_hostname,
     validate_url,
+    validate_url_and_hostname,
 )
 
 # Image-ref payload kinds routed by the OCR stage (S6/S7 analogs).
@@ -55,44 +61,41 @@ SPAN_TYPE = pa.struct(
 )
 
 
-def classify_image_ref(src: str, page_url: str) -> dict:
-    """src attr → routed image ref. scraper.py:229-234 + utils.py:19-30."""
+def _route_ref(src: str, page_url: str):
+    """src attr → (resolved url, payload kind). scraper.py:229-234 +
+    utils.py:19-30: an unconstructable ref keeps its raw src."""
     absolute = construct_absolute_url(src, page_url)
     if not absolute:
-        return {"image_url": src, "src": src, "payload_kind": KIND_INVALID}
+        return src, KIND_INVALID
     if absolute.startswith("data:"):
-        return {"image_url": absolute, "src": src, "payload_kind": KIND_DATA}
-    return {"image_url": absolute, "src": src, "payload_kind": KIND_REMOTE}
+        return absolute, KIND_DATA
+    return absolute, KIND_REMOTE
+
+
+def _doc_mime(resolved: str, kind: str, type_hint: str) -> str:
+    """MIME of a routed document ref (mirrored by the pdf oracle SQL): a
+    data-URL's own header wins; otherwise the tag's ``type`` attribute;
+    otherwise a ``.pdf`` path extension sniff; else empty (unroutable →
+    the stage's unsupported-format path)."""
+    if kind == KIND_DATA:
+        return resolved[5:].split(",", 1)[0].split(";")[0] or (type_hint or "")
+    if kind == KIND_INVALID or type_hint:
+        return type_hint or ""
+    return ("application/pdf"
+            if resolved.split("?")[0].lower().endswith(".pdf") else "")
+
+
+def classify_image_ref(src: str, page_url: str) -> dict:
+    """src attr → routed image ref (the scalar form of the batch loop)."""
+    image_url, kind = _route_ref(src, page_url)
+    return {"image_url": image_url, "src": src, "payload_kind": kind}
 
 
 def classify_doc_ref(src: str, type_hint: str, page_url: str) -> dict:
-    """<embed src>/<object data> ref → routed document ref.
-
-    MIME resolution (mirrored by the pdf oracle SQL): a data-URL's own
-    header wins; otherwise the tag's ``type`` attribute; otherwise a
-    ``.pdf`` path extension sniff; else empty (unroutable → the stage's
-    unsupported-format path)."""
-    absolute = construct_absolute_url(src, page_url)
-    if not absolute:
-        return {
-            "doc_url": src, "src": src, "mime": type_hint or "",
-            "payload_kind": KIND_INVALID,
-        }
-    if absolute.startswith("data:"):
-        mime = absolute[5:].split(",", 1)[0].split(";")[0]
-        return {
-            "doc_url": absolute, "src": src,
-            "mime": mime or (type_hint or ""), "payload_kind": KIND_DATA,
-        }
-    mime = type_hint or (
-        "application/pdf"
-        if absolute.split("?")[0].lower().endswith(".pdf")
-        else ""
-    )
-    return {
-        "doc_url": absolute, "src": src, "mime": mime,
-        "payload_kind": KIND_REMOTE,
-    }
+    """<embed src>/<object data> ref → routed document ref."""
+    doc_url, kind = _route_ref(src, page_url)
+    return {"doc_url": doc_url, "src": src,
+            "mime": _doc_mime(doc_url, kind, type_hint), "payload_kind": kind}
 
 
 def extract_row(url: str, html, extractor=extract_visible_text_fast) -> dict:
@@ -246,16 +249,15 @@ def extract_batch(batch: pa.Table, css_resolver=None,
 
     for i in range(n):
         url = urls[i]
-        is_valid, reason = validate_url(url)
+        is_valid, reason, hostnames[i] = validate_url_and_hostname(url)
         if not is_valid:
-            hostnames[i] = normalize_hostname(url if isinstance(url, str) else "")
             statuses[i] = "failed"
             error_types[i] = "InvalidURL"
             error_messages[i] = reason
         else:
+            # module-global lookup per call: benchmarks and tests patch it
             result = extract_visible_text_fast(htmls[i], css_resolver)
             text = result.text
-            hostnames[i] = normalize_hostname(url)
             texts[i] = text
             text_lengths[i] = len(text)
             word_counts[i] = len(text.split())
@@ -267,16 +269,16 @@ def extract_batch(batch: pa.Table, css_resolver=None,
                 span_ends.append(s.end)
                 span_paths.append(s.path)
             for src in result.images:
-                ref = classify_image_ref(src, url)
-                img_urls.append(ref["image_url"])
-                img_srcs.append(ref["src"])
-                img_kinds.append(ref["payload_kind"])
+                resolved, kind = _route_ref(src, url)
+                img_urls.append(resolved)
+                img_srcs.append(src)
+                img_kinds.append(kind)
             for src, typ in result.docs:
-                dref = classify_doc_ref(src, typ, url)
-                doc_urls.append(dref["doc_url"])
-                doc_srcs.append(dref["src"])
-                doc_mimes.append(dref["mime"])
-                doc_kinds.append(dref["payload_kind"])
+                resolved, kind = _route_ref(src, url)
+                doc_urls.append(resolved)
+                doc_srcs.append(src)
+                doc_mimes.append(_doc_mime(resolved, kind, typ))
+                doc_kinds.append(kind)
         span_offsets[i + 1] = len(span_starts)
         img_offsets[i + 1] = len(img_urls)
         doc_offsets[i + 1] = len(doc_urls)

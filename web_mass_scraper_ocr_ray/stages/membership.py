@@ -63,7 +63,7 @@ def _key_hash_u64(col: pa.ChunkedArray) -> np.ndarray:
             h *= np.uint64(0xFF51AFD7ED558CCD)
             h ^= h >> np.uint64(33)
         return h
-    return fnv64_bulk(col.to_pylist())
+    return fnv64_bulk(col)
 
 
 def _positions(h: np.ndarray, log2_bits: int, n_hashes: int) -> np.ndarray:

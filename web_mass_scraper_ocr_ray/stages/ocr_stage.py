@@ -9,7 +9,16 @@ per actor in ``__init__`` and batches of pages flow through
 extract stage, preserving the reference's sequential-loop ordering
 (layout-block ordering per north_star).
 
-Routing (per image ref, scraper.py:229-258 + utils.py:166-230):
+Routing runs over the batch's FLATTENED image refs
+(``pc.list_flatten(images)`` + ``pc.list_parent_indices``): one walk in
+DOM order over every ref of the batch — the one route for the actor
+pool, ``ocr_batch_fused`` and the online downloader alike — the engine
+called only on decodable ``data`` refs (and on fetched ``remote`` refs
+when a downloader is set); every output column is then built as a flat
+Arrow array plus offsets, the status histograms by ``np.bincount`` over
+``parent * 6 + status``. ``ocr_page_images`` is the per-page scalar
+form, kept as the tested reference. Per ref (scraper.py:229-258 +
+utils.py:166-230):
   - ``data``    → decode base64 in-band payload → engine.ocr
   - ``remote``  → offline: download-failed path → ``failed_images``
                   (reference: download_image → None → scraper.py:241-245)
@@ -29,13 +38,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.metadata import (
-    create_ocr_metadata,
-    ocr_status_histogram,
-    ocr_success_rate_on_processable,
-)
+from ..functions.metadata import OCR_STATUSES
 from ..ocr.engine import make_engine, parse_data_url
 
 OCR_ITEM_TYPE = pa.struct(
@@ -70,6 +77,8 @@ OCR_FLAT_COLUMNS = (
     ("ocr_error_tesseract_count", pa.int64()),
     ("ocr_total_errors", pa.int64()),
 )
+
+_STATUS_VALUES = pa.array(OCR_STATUSES, pa.string())
 
 
 def ocr_page_images(engine, image_refs: List[Dict[str, Any]],
@@ -140,61 +149,134 @@ class OCRStage:
             )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        refs_col = batch.column("images").to_pylist()
-        n = len(refs_col)
-        items_out: List[list] = [[]] * n
-        failed_out: List[list] = [[]] * n
-        rollups: List[dict] = [{}] * n
-        flats = {name: [0] * n for name, _ in OCR_FLAT_COLUMNS}
-        rates = [0.0] * n
+        images = batch.column("images")
+        refs = pc.list_flatten(images)
+        parents = pc.list_parent_indices(images).to_pylist()
+        kinds = pc.struct_field(refs, "payload_kind").to_pylist()
+        urls = pc.struct_field(refs, "image_url").to_pylist()
+        srcs = pc.struct_field(refs, "src")   # read only for invalid refs
+        # looked up per call, so a wrapped/patched engine.ocr is honoured
+        ocr = self.engine.ocr
+        download = (self.downloader.download
+                    if self.downloader is not None else None)
 
-        for i in range(n):
-            items, failed = ocr_page_images(
-                self.engine, refs_col[i], downloader=self.downloader
-            )
-            items_out[i] = items
-            failed_out[i] = failed
-            rollup = create_ocr_metadata(items)
-            rollups[i] = {
-                "total_ocr_text": rollup["total_ocr_text"],
-                "total_ocr_text_length": rollup["total_ocr_text_length"],
-                "total_ocr_word_count": rollup["total_ocr_word_count"],
-                "image_count": rollup["image_count"],
-                "successful_ocr_count": rollup["successful_ocr_count"],
-                "success_rate": rollup["success_rate"],
-            }
-            hist = ocr_status_histogram(items)
-            attempts = len(items)  # main.py:165-166
-            total_errors = (
-                hist["error_unsupported_format"]
-                + hist["error_processing"]
-                + hist["error_file_not_found"]
-                + hist["error_tesseract"]
-            )
-            flats["ocr_attempts"][i] = attempts
-            flats["ocr_successes"][i] = hist["success"]
-            flats["ocr_no_text_found_count"][i] = hist["no_text_found"]
-            flats["ocr_error_unsupported_format_count"][i] = hist[
-                "error_unsupported_format"
-            ]
-            flats["ocr_error_processing_count"][i] = hist["error_processing"]
-            flats["ocr_error_file_not_found_count"][i] = hist["error_file_not_found"]
-            flats["ocr_error_tesseract_count"][i] = hist["error_tesseract"]
-            flats["ocr_total_errors"][i] = total_errors
-            rates[i] = round(ocr_success_rate_on_processable(hist, attempts), 2)
+        item_parent: List[int] = []
+        item_url: List[str] = []
+        outs: list = []
+        failed_parent: List[int] = []
+        failed: List[str] = []
+        for j, kind in enumerate(kinds):
+            image_url = urls[j]
+            if kind == "invalid":
+                failed_parent.append(parents[j])
+                failed.append(srcs[j].as_py() or "unknown_src_on_failed_construct")
+                continue
+            if kind == "remote":
+                fetched = download(image_url) if download else None
+            else:
+                fetched = parse_data_url(image_url)
+            if fetched is None:  # offline / download failed / undecodable
+                failed_parent.append(parents[j])
+                failed.append(image_url)
+                continue
+            mime, payload = fetched
+            item_parent.append(parents[j])
+            item_url.append(image_url)
+            outs.append(ocr(payload, mime))
+        return _with_ocr_columns(batch, item_parent, item_url, outs,
+                                 failed_parent, failed)
 
-        out = batch.drop_columns(["images"])
-        out = out.append_column("images", pa.array(items_out, pa.list_(OCR_ITEM_TYPE)))
-        out = out.append_column(
-            "failed_images", pa.array(failed_out, pa.list_(pa.string()))
-        )
-        out = out.append_column("ocr", pa.array(rollups, OCR_ROLLUP_TYPE))
-        for name, typ in OCR_FLAT_COLUMNS:
-            out = out.append_column(name, pa.array(flats[name], typ))
-        out = out.append_column(
-            "ocr_success_rate_on_processable", pa.array(rates, pa.float64())
-        )
-        return out
+
+def _offsets(parent: np.ndarray, n: int) -> pa.Array:
+    """List offsets for ``n`` rows from the (non-decreasing) row index of
+    each flat value."""
+    out = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(parent, minlength=n), out=out[1:])
+    return pa.array(out)
+
+
+def _with_ocr_columns(batch: pa.Table, item_parent: List[int],
+                      item_url: List[str], outs: list,
+                      failed_parent: List[int], failed: List[str]) -> pa.Table:
+    """``images`` → OCR output columns from the batch's flat OCR items
+    (engine outputs, DOM order, with their row index) and failed refs.
+
+    Per row this equals the reference rollups over the row's items —
+    ``create_ocr_metadata`` (utils.py:277-319), ``ocr_status_histogram``
+    (main.py:174-186) and ``round(ocr_success_rate_on_processable, 2)``
+    — including their quirks: a status outside ``OCR_STATUSES`` is an
+    attempt and ``ocr_failed`` but lands in no histogram bin; char/word
+    totals sum over ALL items."""
+    n = batch.num_rows
+    parent = np.array(item_parent, np.int64)
+    texts = [o.text for o in outs]
+    status_list = [o.ocr_status for o in outs]
+    statuses = pa.array(status_list, pa.string())
+    chars = np.array([o.char_count for o in outs], np.int64)
+    words = np.array([o.word_count for o in outs], np.int64)
+    items = pa.ListArray.from_arrays(
+        _offsets(parent, n),
+        pa.StructArray.from_arrays(
+            [pa.array(item_url, pa.string()), pa.array(texts, pa.string()),
+             pa.array(chars), pa.array(words), statuses,
+             # ocr_failed := status != 'success' — scraper.py:257
+             pa.array([s != "success" for s in status_list], pa.bool_())],
+            fields=list(OCR_ITEM_TYPE),
+        ),
+    )
+    failed_arr = pa.ListArray.from_arrays(
+        _offsets(np.array(failed_parent, np.int64), n),
+        pa.array(failed, pa.string()),
+    )
+
+    # rollup: success = status 'success' AND non-empty text
+    joined: Dict[int, List[str]] = {}
+    for p, st, text in zip(item_parent, status_list, texts):
+        if st == "success" and text:
+            joined.setdefault(p, []).append(text)
+    total_text = [""] * n
+    successes = np.zeros(n, np.int64)
+    for p, parts in joined.items():
+        total_text[p] = "\n\n".join(parts).strip()
+        successes[p] = len(parts)
+    image_count = np.bincount(parent, minlength=n)
+    total_chars = np.zeros(n, np.int64)
+    total_words = np.zeros(n, np.int64)
+    np.add.at(total_chars, parent, chars)
+    np.add.at(total_words, parent, words)
+    success_rate = np.zeros(n)
+    seen = image_count > 0
+    success_rate[seen] = (successes[seen] / image_count[seen]) * 100
+    rollup = pa.StructArray.from_arrays(
+        [pa.array(total_text, pa.string()), pa.array(total_chars),
+         pa.array(total_words), pa.array(image_count),
+         pa.array(successes), pa.array(success_rate)],
+        fields=list(OCR_ROLLUP_TYPE),
+    )
+
+    # 6-way histogram per row; out-of-taxonomy statuses (code -1) dropped
+    k = len(OCR_STATUSES)
+    code = pc.index_in(statuses, value_set=_STATUS_VALUES).fill_null(-1).to_numpy()
+    binned = code >= 0
+    hist = np.bincount(parent[binned] * k + code[binned],
+                       minlength=n * k).reshape(n, k)
+    flats = [image_count, *hist.T, hist[:, 2:].sum(axis=1)]
+
+    # rate over (success + no_text_found), 0.0 when none — main.py:195-199;
+    # Python round(): np.round differs on ties
+    meaningful = hist[:, 0] + hist[:, 1]
+    rate = np.zeros(n)
+    has = np.flatnonzero(meaningful)
+    rate[has] = [round(v, 2) for v in
+                 ((hist[has, 0] / meaningful[has]) * 100).tolist()]
+
+    out = batch.drop_columns(["images"])
+    out = out.append_column("images", items)
+    out = out.append_column("failed_images", failed_arr)
+    out = out.append_column("ocr", rollup)
+    for (name, typ), col in zip(OCR_FLAT_COLUMNS, flats):
+        out = out.append_column(name, pa.array(col, typ))
+    return out.append_column("ocr_success_rate_on_processable", pa.array(rate))
 
 
 # Process-global engine cache for the FUSED task path. Ray worker
@@ -221,27 +303,6 @@ def ocr_batch_fused(batch: pa.Table, engine: str = "stub",
 
 def empty_ocr_columns(batch: pa.Table) -> pa.Table:
     """Mode gate 'text' (scraper.py:208,217): stable output schema with
-    empty OCR columns so downstream consumers see one schema per run."""
-    n = batch.num_rows
-    out = batch.drop_columns(["images"])
-    out = out.append_column(
-        "images", pa.array([[]] * n, pa.list_(OCR_ITEM_TYPE))
-    )
-    out = out.append_column(
-        "failed_images", pa.array([[]] * n, pa.list_(pa.string()))
-    )
-    empty_rollup = {
-        "total_ocr_text": "",
-        "total_ocr_text_length": 0,
-        "total_ocr_word_count": 0,
-        "image_count": 0,
-        "successful_ocr_count": 0,
-        "success_rate": 0.0,
-    }
-    out = out.append_column("ocr", pa.array([empty_rollup] * n, OCR_ROLLUP_TYPE))
-    for name, typ in OCR_FLAT_COLUMNS:
-        out = out.append_column(name, pa.array([0] * n, typ))
-    out = out.append_column(
-        "ocr_success_rate_on_processable", pa.array([0.0] * n, pa.float64())
-    )
-    return out
+    empty OCR columns so downstream consumers see one schema per run —
+    ``_with_ocr_columns`` over zero items."""
+    return _with_ocr_columns(batch, [], [], [], [], [])
