@@ -191,7 +191,7 @@ class TestFetchStage:
             batch_format="pyarrow", concurrency=1,
         )
         rows = build_pipeline(
-            pages, PipelineConfig(num_partitions=0, skew_enabled=False)
+            pages, PipelineConfig(num_partitions=0)
         ).take_all()
         assert rows[0]["text"] == "t body"
 
@@ -283,7 +283,7 @@ class TestUrllibFetcher:
                                        "rate": 1e9},
                 batch_format="pyarrow", concurrency=1,
             ),
-            PipelineConfig(num_partitions=0, skew_enabled=False),
+            PipelineConfig(num_partitions=0),
         ).take_all()
         assert rows[0]["text"] == "t live body"
 

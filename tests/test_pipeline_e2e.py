@@ -165,7 +165,7 @@ def test_poison_rows_become_rows_not_failures(ray_session):
         }
     )
     rows = build_pipeline(
-        rd.from_arrow(bad), PipelineConfig(num_partitions=0, skew_enabled=False)
+        rd.from_arrow(bad), PipelineConfig(num_partitions=0)
     ).take_all()
     by_url = {r["url"]: r for r in rows}
     assert by_url["not a url"]["status"] == "failed"
@@ -309,10 +309,10 @@ def test_skew_routing_equivalence(ray_session):
     """Skew-bucketed routing must not change results, only task shape."""
     a = build_pipeline(
         synth_pages_dataset(SF),
-        PipelineConfig(skew_enabled=True, skew_bucket_bytes=2048),  # tiny → both paths used
+        PipelineConfig(skew_bucket_bytes=2048),  # tiny → many slices
     ).take_all()
     b = build_pipeline(
-        synth_pages_dataset(SF), PipelineConfig(skew_enabled=False)
+        synth_pages_dataset(SF), PipelineConfig()
     ).take_all()
     ta = {r["url"]: r["text"] for r in a}
     tb = {r["url"]: r["text"] for r in b}

@@ -67,6 +67,106 @@ def test_sorted_runs_whole_runs(ray_session):
     assert out["call"].nunique() > 1
 
 
+def test_no_second_grouping_api():
+    """Every keyed stage runs on ``sorted_runs``: no ``.map_groups(``
+    call anywhere in the package, and no pandas batch kernel under
+    ``stages/``."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent \
+        / "web_mass_scraper_ocr_ray"
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.relative_to(pkg)}:{node.lineno}"
+            if getattr(node.func, "attr", None) == "map_groups":
+                found.append(f"{where} .map_groups(")
+            if path.parent.name == "stages" and any(
+                    kw.arg == "batch_format"
+                    and getattr(kw.value, "value", None) == "pandas"
+                    for kw in node.keywords):
+                found.append(f'{where} batch_format="pandas"')
+    assert not found, found
+
+
+def _null_key_ops():
+    """(name, op(ds) → rows, reference(rows of the input) → rows) for
+    the group-keyed stages; rows are hashable tuples."""
+    import collections
+
+    from web_mass_scraper_ocr_ray.stages import sampling, shuffle
+
+    def _groups(rows):
+        by = collections.defaultdict(list)
+        for g, o, c in rows:
+            by[g].append((o, c))
+        return by
+
+    def _cap_ref(rows):
+        return {(g, o) for g, v in _groups(rows).items()
+                for o, _ in sorted(v)[:3]}
+
+    def _latest_ref(rows):
+        return {(g, max(v)[0]) for g, v in _groups(rows).items()}
+
+    def _diversity_ref(rows):
+        out = set()
+        for g, v in _groups(rows).items():
+            n = collections.Counter(c for _, c in v)
+            top = min(n, key=lambda c: (-n[c], c))
+            out.add((g, len(v), len(n), top, 10000 * n[top] // len(v)))
+        return out
+
+    def _salted(ds):
+        n = collections.Counter()
+        for r in shuffle.salted_group_sizes(ds, "g", 4).take_all():
+            n[r["g"]] += r["n"]
+        return set(n.items())
+
+    def _salted_ref(rows):
+        return set(collections.Counter(g for g, _, _ in rows).items())
+
+    return [
+        ("cap_per_group",
+         lambda ds: {(r["g"], r["o"]) for r in sampling.cap_per_group(
+             ds, "g", k=3, order_col="o").take_all()}, _cap_ref),
+        ("latest_per_group",
+         lambda ds: {(r["g"], r["o"]) for r in sampling.latest_per_group(
+             ds, "g", "o", "o").take_all()}, _latest_ref),
+        ("category_diversity",
+         lambda ds: {(r["g"], r["n_rows"], r["n_cats"], r["top_cat"],
+                      r["top_cat_bp"])
+                     for r in shuffle.category_diversity(
+                         ds, "g", "c").take_all()}, _diversity_ref),
+        ("salted_group_sizes", _salted, _salted_ref),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[
+    "cap_per_group", "latest_per_group", "category_diversity",
+    "salted_group_sizes"])
+def test_null_group_key_is_one_group(ray_session, case):
+    """A null string group key forms ONE group (SQL ``GROUP BY``) on a
+    multi-block input, instead of Ray's ``TypeError`` from ordering
+    None among strings."""
+    import ray.data as rd
+
+    name, op, ref = _null_key_ops()[case]
+    n = 300
+    g = [None if i % 7 == 0 else f"g{i % 4}" for i in range(n)]
+    o = np.random.RandomState(5).permutation(n).tolist()
+    c = [f"c{i % 3}" for i in range(n)]
+    t = pa.table({"g": pa.array(g, pa.string()),
+                  "o": pa.array(o, pa.int64()), "c": c})
+    ds = rd.from_arrow([t.slice(i, 50) for i in range(0, n, 50)])
+    got = op(ds)
+    assert got == ref(list(zip(g, o, c))), name
+    assert any(row[0] is None for row in got)
+
+
 def test_sorted_runs_null_string_keys_one_run(ray_session):
     """Null string keys reach the kernel as one run (not Ray's raw
     TypeError), distinct from the empty string."""

@@ -52,7 +52,6 @@ class PipelineConfig:
     # skew handling (§4.4): split blocks so huge-HTML rows don't make
     # one task carry an unbounded byte budget
     skew_bucket_bytes: int = 8 * 1024 * 1024   # max html bytes per batch split
-    skew_enabled: bool = True
 
     # resumable output (§4.5)
     num_partitions: int = 64            # part_id = hash64(url) % num_partitions

@@ -192,10 +192,12 @@ def extract_visible_text_fast(html: Optional[bytes],
         html = html.tobytes()
     s = html.decode("utf-8", errors="replace")
     rules = hidden_rules_from_html(s, css_resolver)
+    # HiddenRules.__bool__ is a Python call: read it once per document
+    has_rules = bool(rules)
 
     stack: List[str] = []
     hidden_deltas: List[int] = []
-    elem_info: List[tuple] = []  # (tag, classes, id) — only when rules
+    elem_info: List[tuple] = []  # (tag, classes, id) — only when has_rules
     text_skip = 0
     buf: List[str] = []
     buf_path: Optional[str] = None
@@ -275,14 +277,14 @@ def extract_visible_text_fast(html: Optional[bytes],
                 # HTML5 implicit </p> before a new <p>
                 stack.pop()
                 d_p = hidden_deltas.pop()
-                if rules:
+                if has_rules:
                     elem_info.pop()
                 if not text_skip:
                     flush()
                 text_skip -= d_p
             # rules evaluation runs AFTER the implicit-</p> pop so the
             # ancestor stack matches the reference parser's exactly
-            if rules:
+            if has_rules:
                 hidden, info = _vis_with_rules(tag, attrs, rules, elem_info)
             else:
                 hidden = _is_hidden_attrs(attrs)
@@ -294,7 +296,7 @@ def extract_visible_text_fast(html: Optional[bytes],
             text_skip += d
             stack.append(tag)
             hidden_deltas.append(d)
-            if rules:
+            if has_rules:
                 elem_info.append(info)
         else:
             if tag in _VOID_TAGS or tag not in stack:
@@ -302,7 +304,7 @@ def extract_visible_text_fast(html: Optional[bytes],
             while stack:
                 top = stack.pop()
                 d = hidden_deltas.pop()
-                if rules:
+                if has_rules:
                     elem_info.pop()
                 if top in _BLOCK_TAGS and not text_skip:
                     flush()

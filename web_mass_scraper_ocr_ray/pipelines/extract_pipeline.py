@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..functions.metadata import finalize_session_summary
-from ..stages.extract import SPAN_TYPE, extract_batch
+from ..stages.extract import SPAN_TYPE, extract_batch_sliced
 from ..stages.ocr_stage import OCRStage, empty_ocr_columns
 from ..state import manifest as mf
 
@@ -90,26 +90,17 @@ def build_pipeline(pages_ds, cfg: Optional[PipelineConfig] = None):
             batch_format="pyarrow",
         )
 
-    if cfg.skew_enabled:
-        # §4.4: heap-bounded slicing inside each task — a batch never
-        # holds more than skew_bucket_bytes of html in flight, so a run
-        # of elephant pages bounds memory, not just rows. Straggler
-        # bounding comes from block sizing (task = block ≤
-        # target_max_block_size). No extra scan, no shuffle.
-        from ..stages.extract import extract_batch_sliced
-
-        ds = ds.map_batches(
-            partial(extract_batch_sliced, byte_budget=cfg.skew_bucket_bytes,
-                    keep_html=cfg.keep_html),
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            partial(extract_batch, keep_html=cfg.keep_html),
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-        )
+    # §4.4: heap-bounded slicing inside each task — a batch never holds
+    # more than skew_bucket_bytes of html in flight, so a run of
+    # elephant pages bounds memory, not just rows. Straggler bounding
+    # comes from block sizing (task = block ≤ target_max_block_size).
+    # No extra scan, no shuffle.
+    ds = ds.map_batches(
+        partial(extract_batch_sliced, byte_budget=cfg.skew_bucket_bytes,
+                keep_html=cfg.keep_html),
+        batch_format="pyarrow",
+        batch_size=cfg.extract_batch_size,
+    )
 
     if cfg.mode == "ocr":
         ds = ds.map_batches(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -34,6 +35,7 @@ from ..stages import dedup as dd
 from ..stages import multimodal as mm
 from ..stages import similarity as sim
 from ..stages import textstats as ts
+from ..stages.shuffle import key_starts, run_ranks, run_starts, sorted_runs
 from ..stages.extract import extract_batch
 from ..functions.urltools import validate_url
 from .extract_pipeline import build_pipeline, hostname_rollup, session_summary
@@ -158,8 +160,6 @@ def q_resume_filter(sf_dir: str):
     via a broadcast key set — no shuffle."""
     import ray
 
-    import numpy as np
-
     docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     ids = docs.column("doc_id").to_numpy()
     ref = ray.put(page_url_array(ids[ids % 3 == 0]))
@@ -191,8 +191,6 @@ def q_resume_filter_large(sf_dir: str):
                            columns=["doc_id"])
 
     def _committed(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks(), np.int64)
         return pa.table({"url": page_url_array(ids[ids % 3 == 0])})
 
@@ -214,8 +212,6 @@ def q_resume_committed(sf_dir: str):
                            columns=["doc_id"])
 
     def _committed(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks(), np.int64)
         return pa.table({"url": page_url_array(ids[ids % 3 == 0])})
 
@@ -238,8 +234,6 @@ def q_resume_filter_bloom(sf_dir: str):
                            columns=["doc_id"])
 
     def _committed(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks(), np.int64)
         return pa.table({"url": page_url_array(ids[ids % 3 == 0])})
 
@@ -268,8 +262,6 @@ def q_dedup_canonical_urls(sf_dir: str):
                            columns=["doc_id"])
 
     def _noisy(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks())
         base = page_url_array(ids % 200)
         suffix = np.where(ids % 3 == 0, "#sec",
@@ -408,8 +400,6 @@ def q_company_join(sf_dir: str):
     ray.put ONCE and read per task — no shuffle, never re-shipped."""
     import ray
 
-    import numpy as np
-
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_name"])
     keys = cust.column("c_custkey").to_numpy()
@@ -479,7 +469,6 @@ def q_training_corpus_funnel(sf_dir: str):
     8 planted exact-duplicate passages on the doc_id%4==2 stripe) that
     the SQL mirror reproduces with one CASE — making all four stages
     discriminating."""
-    import numpy as np
     from ray.data.aggregate import Min
 
     from ..stages.dedup import add_text_hash
@@ -610,22 +599,21 @@ def q_dedup_exact_docs(sf_dir: str):
 
 def q_dedup_exact_rows(sf_dir: str):
     """Exact dedup returning the SURVIVOR ROWS (first-wins by doc_id
-    within each content-hash group) — the groupby().map_groups(head(1))
-    form (ray_guide exact-dedup pattern), vs the aggregate form above."""
-    import pandas as pd
-
+    within each content-hash group) — one ``sorted_runs`` on the hash,
+    the first row of every (text_hash, doc_id)-sorted run (ray_guide
+    exact-dedup pattern), vs the aggregate form above."""
     from ..stages.dedup import add_text_hash
 
     hashed = _docs(sf_dir).map_batches(
         lambda t: add_text_hash(t), batch_format="pyarrow"
     ).select_columns(["doc_id", "text_hash", "n_chars"])
 
-    def _first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("doc_id").head(1)
+    def _first(t: pa.Table) -> pa.Table:
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            ("text_hash", "ascending"), ("doc_id", "ascending")]))
+        return s.filter(pa.array(key_starts(s, "text_hash")))
 
-    return hashed.groupby("text_hash").map_groups(
-        _first, batch_format="pandas"
-    )
+    return sorted_runs(hashed, "text_hash", _first)
 
 
 def _docs_with_neardups(sf_dir: str):
@@ -660,8 +648,6 @@ def _overlap_counts(ds_x, ds_y, keys):
     driver, so the shape holds at any corpus size (the claim-gate
     pattern used by approx_distinct / the KLL sketch gate)."""
     from ray.data.aggregate import Max
-
-    import numpy as np
 
     def _tag(is_x: bool):
         def f(t: pa.Table) -> pa.Table:
@@ -727,7 +713,6 @@ def q_dedup_minhash(sf_dir: str):
         return pa.table({"doc_id": t.filter(keep).column("doc_a")})
 
     def _truth(t: pa.Table) -> pa.Table:
-        import numpy as np
         out = []
         for txt in t.column("text").to_pylist():
             # symmetry with the SQL oracle (ADVICE r2): docs shorter
@@ -770,7 +755,6 @@ def q_dedup_minhash(sf_dir: str):
     # in one component of the candidate graph. On non-degenerate
     # corpora candidates contain the direct pairs, so this is a pure
     # superset and the gate stays as strict as before.
-    from ..stages.shuffle import sorted_runs
 
     labels = dd.cluster_pairs_label_propagation(cands, as_dataset=True)
 
@@ -786,8 +770,6 @@ def q_dedup_minhash(sf_dir: str):
         })
 
     def _connected(g: pa.Table) -> pa.Table:
-        import numpy as np
-
         base = g.column("base_id").to_numpy(zero_copy_only=False)
         side = g.column("side").to_numpy(zero_copy_only=False)
         lab = g.column("cluster_id").to_numpy(zero_copy_only=False)
@@ -896,8 +878,6 @@ def _mutated_snapshot(sf_dir: str):
     doc_id+1e6 where %103==0 (SQL mirror: the newsnap CTE)."""
 
     def _mutate(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         txt = pc.cast(t.column("text"), pa.string())
         edited = pc.if_else(
@@ -951,8 +931,6 @@ def q_doc_containment(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def _needles(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids_np = t.column("doc_id").to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(ids_np % 211 == 0))
         ids = t.column("doc_id").to_pylist()
@@ -1020,7 +998,6 @@ def q_dedup_simhash(sf_dir: str):
                                 {"n": (None, "count")})
 
     def _pairs_of(t: pa.Table) -> pa.Table:
-        import numpy as np
         n = t.column("n").to_numpy(zero_copy_only=False)
         return pa.table({
             "p": pa.array([int((n * (n - 1) // 2).sum())], pa.int64()),
@@ -1035,7 +1012,6 @@ def q_dedup_simhash(sf_dir: str):
     cap = dd.PAIR_RUN_CAP
 
     def _pairs_of_small(t: pa.Table) -> pa.Table:
-        import numpy as np
         n = t.column("n").to_numpy(zero_copy_only=False)
         small = n[n < cap]
         return pa.table({
@@ -1085,7 +1061,6 @@ def q_dedup_simhash(sf_dir: str):
     parse_size = n_giant_groups > 0
 
     def _same_hash_small(g: pa.Table) -> pa.Table:
-        import numpy as np
         if g.num_rows < 2:
             return pa.table({"m": pa.array([0], pa.int64())})
         idx = pc.sort_indices(g, sort_keys=[
@@ -1105,8 +1080,6 @@ def q_dedup_simhash(sf_dir: str):
                      or int(h[i].rsplit(":", 1)[1]) < cap))
         return pa.table({"m": pa.array([int(m)], pa.int64())})
 
-    from ..stages.shuffle import sorted_runs
-
     agg2 = sorted_runs(att, "doc_a", _same_hash_small).sum("m")
     n_common = int(agg2) if agg2 is not None else 0
 
@@ -1118,7 +1091,6 @@ def q_dedup_simhash(sf_dir: str):
                           ["cluster_id"])
 
         def _group_ok(g: pa.Table) -> pa.Table:
-            import numpy as np
             h = g.column("text_hash").to_numpy(zero_copy_only=False)
             c = g.column("cluster_id").to_numpy(zero_copy_only=False)
             n_g = g.column("n").to_numpy(zero_copy_only=False)
@@ -1387,7 +1359,6 @@ def q_image_phash_dct(sf_dir: str):
     contract and carries the claims as constants (the HLL/MG claim-
     gate pattern). Per-group pair work is over DISTINCT hashes (≤3 per
     scene), so the gate stays O(corpus) at any sf."""
-    import numpy as np
     import ray.data as rd
     from ..functions.imaging import encode_bmp, synth_image
 
@@ -1431,25 +1402,31 @@ def q_image_phash_dct(sf_dir: str):
             x.view(np.uint8).reshape(len(v), len(v), 8), axis=2
         ).sum(axis=2)
 
-    def _per_scene(df):
-        import pandas as pd
-
-        uniq = sorted(set(df["phash"]))
-        d = _ham_matrix(uniq)
-        return pd.DataFrame({
-            "seed_id": [int(df["seed_id"].iloc[0])],
-            "n_images": [len(df)],
-            "intra_ok": [bool(d.max() <= RADIUS_IN)],
+    def _per_scene(t: pa.Table) -> pa.Table:
+        # distinct (seed, phash) runs; one Hamming matrix per seed run
+        u = t.group_by(["seed_id", "phash"]).aggregate(
+            [([], "count_all")]).sort_by("seed_id")
+        seeds = u.column("seed_id").to_numpy()
+        hexes = u.column("phash").to_pylist()
+        bounds = np.r_[np.flatnonzero(run_starts(seeds)), len(seeds)]
+        n_images = np.add.reduceat(u.column("count_all").to_numpy(),
+                                   bounds[:-1])
+        intra_ok = [bool(_ham_matrix(hexes[lo:hi]).max() <= RADIUS_IN)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return pa.table({
+            "seed_id": pa.array(seeds[bounds[:-1]], pa.int64()),
+            "n_images": pa.array(n_images, pa.int64()),
+            "intra_ok": pa.array(intra_ok, pa.bool_()),
         })
 
-    per_scene = hashed.groupby("seed_id").map_groups(
-        _per_scene, batch_format="pandas")
+    per_scene = sorted_runs(hashed, "seed_id", _per_scene)
+
+    def _first_base(t: pa.Table) -> pa.Table:
+        b = t.filter(t.column("is_base")).select(["seed_id", "phash"])
+        return b.filter(pa.array(key_starts(b, "seed_id")))
 
     # 37-row representative pull (bounded by the scene-count constant)
-    base = hashed.filter(lambda r: r["is_base"]).groupby(
-        "seed_id").map_groups(
-        lambda df: df.iloc[:1][["seed_id", "phash"]],
-        batch_format="pandas").take_all()
+    base = sorted_runs(hashed, "seed_id", _first_base).take_all()
     d = _ham_matrix([r["phash"] for r in base])
     np.fill_diagonal(d, 64)
     inter_ok = bool(d.min() >= MARGIN_OUT)
@@ -1847,10 +1824,7 @@ def q_events_sessionize(sf_dir: str):
     (r3 verdict #2; pattern of sampling.rank_per_group). Ordering
     assumption: per-user event order is total (no duplicate (user, ts)
     — holds for this corpus)."""
-    import numpy as np
     import ray.data as rd
-
-    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"]
@@ -1901,7 +1875,6 @@ def _topk_per_user_kernel(k: int):
     event_id) sort, dense in-run rank via the first-occurrence trick,
     keep rank ≤ k. Used both as the map-side combiner (per batch) and
     the per-block finisher — a classic partial top-k."""
-    import numpy as np
 
     def _topk(t: pa.Table) -> pa.Table:
         idx = pc.sort_indices(t, sort_keys=[
@@ -1941,8 +1914,6 @@ def q_top_events_per_user(sf_dir: str):
     shuffle, then one ``sorted_runs`` on the user and one per-block
     sort ranks every group — no per-user Python call."""
     import ray.data as rd
-
-    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_id", "value"]
@@ -2076,10 +2047,7 @@ def q_events_cumulative(sf_dir: str):
     centi-units BEFORE the cumsum so the result is bit-exact and
     order-independent across engines (same contract as
     lineitem_pricing)."""
-    import numpy as np
     import ray.data as rd
-
-    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2127,10 +2095,7 @@ def q_events_moving_window(sf_dir: str):
     cumsum difference with one composite-key searchsorted over the
     whole sorted block (no per-day, no per-USER Python — r3 verdict #2).
     Centi-unit ints keep it bit-exact vs SQL."""
-    import numpy as np
     import ray.data as rd
-
-    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "value"])
@@ -2290,8 +2255,9 @@ def q_doc_length_quantiles(sf_dir: str):
 
 def q_doc_length_quantiles_by_source(sf_dir: str):
     """Per-source exact length quantiles — the grouped audit variant:
-    the selection scan runs inside map_groups, nothing reaches the
-    driver (stages/sketches.grouped_exact_quantiles)."""
+    the selection scan runs over the source runs of one
+    ``sorted_runs``, nothing is collected to the caller
+    (stages/sketches.grouped_exact_quantiles)."""
     from ..stages.sketches import grouped_exact_quantiles
 
     return grouped_exact_quantiles(
@@ -2433,8 +2399,6 @@ def q_token_search(sf_dir: str):
     probes = sorted(SEARCH_PROBES)
 
     def _probe(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
         row = np.asarray(pc.list_parent_indices(toks), dtype=np.int64)
         flat = pc.list_flatten(toks)
@@ -2672,8 +2636,6 @@ def q_doc_decontaminate(sf_dir: str):
     )
 
     def _bench(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks())
         return t.filter(pa.array(ids % 97 == 0))
 
@@ -2704,8 +2666,6 @@ def _docs_with_spliced(sf_dir: str):
     )
 
     def _splice(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks())
         b = t.filter(pa.array(ids % 5 == 0))
         pref = pc.binary_join_element_wise(
@@ -2762,8 +2722,6 @@ def q_dedup_incremental(sf_dir: str):
     )
 
     def _new(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").combine_chunks())
         ev = t.filter(pa.array(ids % 2 == 0))
         od = t.filter(pa.array(ids % 2 == 1))
@@ -3109,8 +3067,6 @@ def q_host_crawl_budget(sf_dir: str):
     pages = synth_pages_dataset(sf_dir).select_columns(["url"])
 
     def _host(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         urls = t.column("url").to_pylist()
         hosts = [u.split("/", 3)[2] for u in urls]
         return pa.table({"host": pa.array(hosts, pa.string())})
@@ -3133,8 +3089,6 @@ def q_doc_cdc_dedup(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "text", "source"])
 
     def _appended(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         t = t.filter(pa.array(ids % 10 == 0))
         return pa.table({
@@ -3452,8 +3406,6 @@ def q_corpus_char_freq(sf_dir: str):
     docs = _docs(sf_dir, ["text"])
 
     def _hist(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         buf = "".join(t.column("text").to_pylist()).encode("utf-32-le")
         arr = np.frombuffer(buf, dtype=np.uint32)
         cps, counts = np.unique(arr, return_counts=True)
@@ -3578,8 +3530,9 @@ def q_events_retention_cohorts(sf_dir: str):
     (cohort), counting how many are active again N days later — the
     standard product-analytics triangle. Per-batch distinct
     (user, day) partials bound the first shuffle to one row per
-    (user, day, batch); the per-user group then derives cohort = min
-    day + day offsets, and one tiny grouped count finishes."""
+    (user, day, batch); one ``sorted_runs`` on the user then derives
+    cohort = min day + day offsets for every user run of a sorted
+    block, and one tiny grouped count finishes."""
     import ray.data as rd
 
     from ray.data.aggregate import Count
@@ -3596,18 +3549,21 @@ def q_events_retention_cohorts(sf_dir: str):
         return tb.group_by(["user_id", "day"]).aggregate([])
 
     def _offsets(g: pa.Table) -> pa.Table:
-        days = sorted(set(g.column("day").to_pylist()))
-        cohort = days[0]
+        # distinct (user, day), sorted: a user run's first day is its
+        # cohort
+        u = g.group_by(["user_id", "day"]).aggregate([]).sort_by(
+            [("user_id", "ascending"), ("day", "ascending")])
+        day = pc.cast(u.column("day"), pa.timestamp("us")).to_numpy()
+        cohort = day[np.arange(len(day))
+                     - run_ranks(key_starts(u, "user_id"))]
         return pa.table({
-            "cohort_day": pa.array([cohort] * len(days),
-                                   pa.timestamp("us")),
+            "cohort_day": pa.array(cohort, pa.timestamp("us")),
             "offset_days": pa.array(
-                [(d - cohort).days for d in days], pa.int64()),
+                (day - cohort) // np.timedelta64(1, "D"), pa.int64()),
         })
 
-    per_user = (ev.map_batches(_days, batch_format="pyarrow")
-                .groupby("user_id")
-                .map_groups(_offsets, batch_format="pyarrow"))
+    per_user = sorted_runs(ev.map_batches(_days, batch_format="pyarrow"),
+                           "user_id", _offsets)
     return (per_user.groupby(["cohort_day", "offset_days"])
             .aggregate(Count(alias_name="n_users")))
 
@@ -3650,8 +3606,6 @@ def q_doc_dup_ratio_by_source(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "text", "source"])
 
     def _with_dups(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         ids = np.asarray(t.column("doc_id").to_numpy(zero_copy_only=False))
         third = t.filter(pa.array(ids % 3 == 0))
         return pa.table({
@@ -3668,14 +3622,14 @@ def q_doc_dup_ratio_by_source(sf_dir: str):
     ).select_columns(["source", "text_hash"])
 
     def _flags(g: pa.Table) -> pa.Table:
-        dup = 1 if g.num_rows >= 2 else 0
+        starts = np.flatnonzero(key_starts(g, "text_hash"))
+        size = np.diff(np.r_[starts, g.num_rows])
         return pa.table({
             "source": g.column("source"),
-            "is_dup": pa.array([dup] * g.num_rows, pa.int64()),
+            "is_dup": pa.array(np.repeat(size >= 2, size), pa.int64()),
         })
 
-    flagged = hashed.groupby("text_hash").map_groups(
-        _flags, batch_format="pyarrow")
+    flagged = sorted_runs(hashed, "text_hash", _flags)
     rolled = flagged.groupby("source").aggregate(
         Count(alias_name="n_docs"),
         Sum("is_dup", alias_name="n_dup_docs"))
@@ -3828,8 +3782,6 @@ def q_source_lang_pivot(sf_dir: str):
                               concurrency=(1, 4))
 
     def _onehot(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         src = t.column("source")
         pred = t.column("lang_pred")
         agg = pa.table({"source": src, "lang_pred": pred}).group_by(
@@ -3862,24 +3814,27 @@ def q_doc_novelty(sf_dir: str):
 def q_events_dedup_burst(sf_dir: str):
     """Stream debounce: drop an event when the SAME (user, type) fired
     < 60 s before it (lag rule — batch-expressible, unlike the chained
-    'previous kept' variant). Per-user groups sort in-worker; the
-    shuffle is the one groupby(user_id)."""
-    import pandas as pd
+    'previous kept' variant). The shuffle is one ``sorted_runs`` on
+    the user; each block sorts by (user, type, ts, event_id) and keeps
+    every (user, type) run's first row and any row > 60 s after its
+    predecessor."""
     import ray.data as rd
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "event_type",
                                   "ts"])
 
-    def _debounce(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "ts", "event_id"])
-        prev = g.groupby("event_type")["ts"].shift(1)
-        keep = prev.isna() | (g["ts"] - prev >
-                              pd.Timedelta(seconds=60))
-        return g[keep][["event_id", "user_id", "event_type", "ts"]]
+    def _debounce(t: pa.Table) -> pa.Table:
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            (c, "ascending")
+            for c in ("user_id", "event_type", "ts", "event_id")]))
+        ts = s.column("ts").to_numpy()
+        keep = key_starts(s, ["user_id", "event_type"])
+        keep[1:] |= (ts[1:] - ts[:-1]) > np.timedelta64(60, "s")
+        return s.filter(pa.array(keep)).select(
+            ["event_id", "user_id", "event_type", "ts"])
 
-    return ev.groupby("user_id").map_groups(_debounce,
-                                            batch_format="pandas")
+    return sorted_runs(ev, "user_id", _debounce)
 
 
 def q_events_profile(sf_dir: str):
@@ -3931,8 +3886,6 @@ def q_promo_revenue_share(sf_dir: str):
                                   "l_discount"])
 
     def _partial(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         pr = ray.get(promo_ref)
         price_c = np.asarray(pc.cast(pc.round(pc.multiply(
             t.column("l_extendedprice"), 100.0)), pa.int64())
@@ -4079,8 +4032,6 @@ def q_host_graph_delta(sf_dir: str):
     pages = synth_link_pages_dataset(sf_dir)
 
     def _drop(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         # pages carry no doc_id column — it's the url's trailing int
         tail = pc.replace_substring_regex(t.column("url"), r"^.*/", "")
         ids = pc.cast(tail, pa.int64()).to_numpy(zero_copy_only=False)
@@ -4092,8 +4043,6 @@ def q_host_graph_delta(sf_dir: str):
 
     def _tag(side: int):
         def _f(t: pa.Table) -> pa.Table:
-            import numpy as np
-
             return t.append_column(
                 "side", pa.array(np.full(t.num_rows, side, np.int8)))
         return _f
@@ -4146,8 +4095,6 @@ def q_events_ab_test(sf_dir: str):
         "user_id").aggregate(Max("is_purchase", alias_name="converted"))
 
     def _variant(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         u = t.column("user_id").to_numpy(zero_copy_only=False)
         return pa.table({
             "variant": pa.array((u % 2).astype(np.int64)),
@@ -4226,8 +4173,6 @@ def q_events_late(sf_dir: str):
                          columns=["event_id", "user_id", "ts"])
 
     def _arrival(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         # bijective modular permutation (prime modulus) — unlike a
         # 2^32 hash, NO collisions, so the arrival order is total and
         # the window result deterministic (ids < 10^9+7 by contract)
@@ -4309,8 +4254,6 @@ def q_region_supplier_revenue(sf_dir: str):
                                   "l_discount"])
 
     def _partial(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         lk = ray.get(lookup_ref)
         price_c = np.asarray(pc.cast(pc.round(pc.multiply(
             t.column("l_extendedprice"), 100.0)), pa.int64())
@@ -4371,8 +4314,6 @@ def q_events_outliers(sf_dir: str):
     ev = ev.map_batches(_centi, batch_format="pyarrow").materialize()
 
     def _moments(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         v = t.column("value_centi").to_numpy(zero_copy_only=False)
         et = t.column("event_type")
         tb = pa.table({"event_type": et,
@@ -4393,8 +4334,6 @@ def q_events_outliers(sf_dir: str):
                                  int(r["s2"])) for r in mom}
 
     def _flag(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         v = t.column("value_centi").to_numpy(
             zero_copy_only=False).astype(object)
         types = t.column("event_type").to_pylist()
@@ -4529,7 +4468,7 @@ def q_large_orders(sf_dir: str):
     """TPC-H-Q18-shaped large-volume orders: per-order quantity rollup
     HAVING sum > threshold, joined back to orders + customer names.
     Shape: two-phase aggregate on l_orderkey (high-cardinality key —
-    map-side combine, no keyed map_groups), the HAVING filter prunes
+    map-side combine, no per-key kernel), the HAVING filter prunes
     before the join, co-partition equi_join to orders, customer names
     via one broadcast map (small side). Quantities/prices in integer
     centi-units — bit-exact."""
@@ -4688,7 +4627,6 @@ def q_disjunctive_part_revenue(sf_dir: str):
     one 1-row global sum. No shuffle at all — the disjunction is a
     stateless row predicate once the dimension is in the object
     store."""
-    import numpy as np
     import ray
     import ray.data as rd
 
@@ -5344,7 +5282,6 @@ def q_audio_features(sf_dir: str):
     carries the claims as constants (the claim-gate pattern). Wrong
     codec byte order, a dropped sample, or a broken feature kernel
     flips a claim."""
-    import numpy as np
     import ray.data as rd
 
     from ..functions.audio import encode_wav, synth_tone
@@ -5382,22 +5319,28 @@ def q_audio_features(sf_dir: str):
         .select_columns(["seed_id", "amp", "zero_crossings", "energy"])
     )
 
-    def _per_seed(df):
-        import pandas as pd
+    def _per_seed(t: pa.Table) -> pa.Table:
+        seed, amp, zc, energy = (t.column(c).to_numpy() for c in (
+            "seed_id", "amp", "zero_crossings", "energy"))
+        starts = np.flatnonzero(run_starts(seed))
 
-        base = df["energy"] // (df["amp"] * df["amp"])
-        exact = bool((df["energy"] % (df["amp"] * df["amp"]) == 0).all()
-                     and base.nunique() == 1)
-        return pd.DataFrame({
-            "seed_id": [int(df["seed_id"].iloc[0])],
-            "n_clips": [len(df)],
-            "zc": [int(df["zero_crossings"].iloc[0])],
-            "zc_ok": [df["zero_crossings"].nunique() == 1],
-            "energy_ok": [exact],
+        def _const(v):  # one value across the whole seed run
+            return (np.minimum.reduceat(v, starts)
+                    == np.maximum.reduceat(v, starts))
+
+        sq = amp * amp
+        return pa.table({
+            "seed_id": pa.array(seed[starts], pa.int64()),
+            "n_clips": pa.array(np.diff(np.r_[starts, len(seed)]),
+                                pa.int64()),
+            "zc": pa.array(zc[starts], pa.int64()),
+            "zc_ok": pa.array(_const(zc)),
+            "energy_ok": pa.array(
+                np.logical_and.reduceat(energy % sq == 0, starts)
+                & _const(energy // sq)),
         })
 
-    per_seed = feats.groupby("seed_id").map_groups(
-        _per_seed, batch_format="pandas")
+    per_seed = sorted_runs(feats, "seed_id", _per_seed)
     # bounded pull: one row per seed (constant 25)
     rows = sorted(per_seed.take_all(), key=lambda r: r["seed_id"])
     zcs = [r["zc"] for r in rows]
@@ -5442,7 +5385,6 @@ def q_bpe_pair_counts(sf_dir: str):
 
     Corpus contract: ASCII text (the documents synthesis guarantee;
     multi-byte UTF-8 would need char-level pairing on both sides)."""
-    import numpy as np
 
     from ..stages.shuffle import two_phase_aggregate
 
@@ -5800,7 +5742,6 @@ def q_doc_rank_prior(sf_dir: str):
     # dense host-index vector (hosts are the bounded small side):
     # per batch the stamp is one modulo + two vectorized takes, no
     # per-row dict.get (r4 verdict action #4)
-    import numpy as np
 
     hosts = ["www.host%03d.example.com" % h for h in range(50)]
     ref = ray.put((pa.array(hosts, pa.string()),
@@ -5955,8 +5896,6 @@ def q_pages_scd2(sf_dir: str):
     (bucketed sort + reduceat run arithmetic, no per-key loop)."""
     import hashlib
 
-    import numpy as np
-
     from ..stages.sequences import scd2_intervals
 
     def _history(t: pa.Table) -> pa.Table:
@@ -5994,7 +5933,6 @@ def q_doc_topk_diverse(sf_dir: str):
     shuffle (per-source top-m is a semilattice, so partials compose);
     the exact per-source rank runs on the pruned remainder
     (rank_per_group), and the global cut is a tiny sort+limit."""
-    import numpy as np
 
     from ..stages.sampling import rank_per_group
 
@@ -6093,7 +6031,6 @@ def q_video_frames_exploded(sf_dir: str):
     frame — the shape every frame-level multimodal stage consumes.
     Pure-Arrow flatten (list offsets → np.repeat of the parent id),
     no Python per-row loop, no shuffle."""
-    import numpy as np
 
     # decode_media already runs the FrameSampler (k=4) after decode
     sampled = mm.decode_media(mm.synth_media_dataset(sf_dir))
@@ -6305,10 +6242,7 @@ def q_events_gap_stats(sf_dir: str):
     shape as events_cumulative: one (user, ts, event_id) sort per
     sorted block, gaps by a single shifted subtraction, run
     stats via reduceat — no per-user task."""
-    import numpy as np
     import ray.data as rd
-
-    from ..stages.shuffle import sorted_runs
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts"])

@@ -1023,12 +1023,15 @@ def keep_best_per_group(ds, group_col: str, sort_keys,
     highest-quality), not merely the first id.
 
     Exact two-phase combiner: each batch collapses every group to its
-    local best row + local member count, so the groupby shuffle moves
-    at most one row per (group, batch) — a boilerplate page duplicated
-    millions of times contributes blocks-many candidate rows, never
-    its full population. The final per-group pass picks the best of
-    bests and SUMS the partial counts (argmax and count both compose).
+    local best row + local member count, so the ``shuffle.sorted_runs``
+    exchange moves at most one row per (group, batch) — a boilerplate
+    page duplicated millions of times contributes blocks-many
+    candidate rows, never its full population. The same kernel then
+    picks the best of bests of every group run of a sorted block and
+    SUMS the partial counts (argmax and count both compose).
     """
+    from .shuffle import key_starts, sorted_runs
+
     keys = list(sort_keys)
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -1040,17 +1043,12 @@ def keep_best_per_group(ds, group_col: str, sort_keys,
         idx = pc.sort_indices(
             t, sort_keys=[(group_col, "ascending")] + keys)
         s = t.take(idx)
-        grp = np.asarray(s.column(group_col).to_pylist(), dtype=object)
-        n = len(grp)
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        run_start[1:] = grp[1:] != grp[:-1]
-        starts = np.flatnonzero(run_start)
-        ends = np.append(starts[1:], n)
+        starts = np.flatnonzero(key_starts(s, group_col))
+        ends = np.append(starts[1:], s.num_rows)
         if has_n:
             # re-combining partials: counts sum within the run
-            cnt_all = np.asarray(s.column(count_col).to_pylist(),
-                                 dtype=np.int64)
+            cnt_all = s.column(count_col).to_numpy(
+                zero_copy_only=False).astype(np.int64)
             run_n = np.add.reduceat(cnt_all, starts)
             s = s.drop_columns([count_col])
         else:
@@ -1058,6 +1056,5 @@ def keep_best_per_group(ds, group_col: str, sort_keys,
         best = s.take(pa.array(starts, pa.int64()))
         return best.append_column(count_col, pa.array(run_n, pa.int64()))
 
-    return ds.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(group_col).map_groups(_partial, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_partial, batch_format="pyarrow"),
+                       group_col, _partial)

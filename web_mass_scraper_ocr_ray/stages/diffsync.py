@@ -13,7 +13,9 @@ whose FOLLOW-UP is exact.
 
 Distributed shape: one stateless hash map per side + the map-side
 combiner per side (O(n_ranges × batches) partial rows shuffle), one
-tiny groupby to align sides. Nothing row-level ever crosses sides.
+tiny ``shuffle.sorted_runs`` on the bucket to align sides, each kernel
+a ``reduceat`` over the bucket runs of a sorted block. Nothing
+row-level ever crosses sides.
 
 The row hash is the first 14 hex digits of md5(key ':' payload) —
 deliberately SQL-reproducible: DuckDB's
@@ -26,9 +28,12 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .shuffle import run_starts, sorted_runs
+
+_CHANGES = pa.array(["added", "deleted", "edited"], pa.string())
 
 
 def _row_hashes(keys, payloads) -> np.ndarray:
@@ -39,6 +44,22 @@ def _row_hashes(keys, payloads) -> np.ndarray:
     return out
 
 
+def _fold(bucket: np.ndarray, n: np.ndarray, xr: np.ndarray) -> pa.Table:
+    """One ``(bucket, n, xr)`` row per bucket: Σ n, XOR of xr."""
+    order = np.argsort(bucket, kind="stable")
+    bucket, n, xr = bucket[order], n[order], xr[order]
+    starts = np.flatnonzero(run_starts(bucket))
+    return pa.table({
+        "bucket": pa.array(bucket[starts], pa.int64()),
+        "n": pa.array(np.add.reduceat(n, starts), pa.int64()),
+        "xr": pa.array(np.bitwise_xor.reduceat(xr, starts), pa.int64()),
+    })
+
+
+def _np(t: pa.Table, *cols) -> list:
+    return [t.column(c).to_numpy(zero_copy_only=False) for c in cols]
+
+
 def range_checksums(ds, key_col: str, payload_col: str,
                     n_ranges: int = 256):
     """→ ``(bucket, n, xr)``: row count and XOR-folded content hash
@@ -47,32 +68,14 @@ def range_checksums(ds, key_col: str, payload_col: str,
 
     def _partial(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False)
-        pay = t.column(payload_col).to_pylist()
-        h = _row_hashes(keys, pay)
-        b = (keys % n_ranges).astype(np.int64)
-        df = pd.DataFrame({"bucket": b, "h": h})
-        g = df.groupby("bucket", sort=False).agg(
-            n=("h", "size"), xr=("h", lambda s: np.bitwise_xor.reduce(
-                s.to_numpy())))
-        g = g.reset_index()
-        return pa.table({
-            "bucket": pa.array(g["bucket"].to_numpy(), pa.int64()),
-            "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            "xr": pa.array(g["xr"].to_numpy().astype(np.int64)),
-        })
+        h = _row_hashes(keys, t.column(payload_col).to_pylist())
+        return _fold((keys % n_ranges).astype(np.int64),
+                     np.ones(len(keys), np.int64), h)
 
     partials = ds.select_columns([key_col, payload_col]).map_batches(
         _partial, batch_format="pyarrow")
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "bucket": [int(g["bucket"].iloc[0])],
-            "n": [int(g["n"].sum())],
-            "xr": [int(np.bitwise_xor.reduce(g["xr"].to_numpy()))],
-        })
-
-    return partials.groupby("bucket").map_groups(
-        _merge, batch_format="pandas")
+    return sorted_runs(partials, "bucket",
+                       lambda t: _fold(*_np(t, "bucket", "n", "xr")))
 
 
 def corpus_diff_ranges(old_ds, new_ds, key_col: str, payload_col: str,
@@ -92,21 +95,26 @@ def corpus_diff_ranges(old_ds, new_ds, key_col: str, payload_col: str,
     both = old_cs.map_batches(_tag(0), batch_format="pyarrow").union(
         new_cs.map_batches(_tag(1), batch_format="pyarrow"))
 
-    def _cmp(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["side"] == 0]
-        n = g[g["side"] == 1]
-        n_old = int(o["n"].iloc[0]) if len(o) else 0
-        n_new = int(n["n"].iloc[0]) if len(n) else 0
-        xr_old = int(o["xr"].iloc[0]) if len(o) else 0
-        xr_new = int(n["xr"].iloc[0]) if len(n) else 0
-        if n_old == n_new and xr_old == xr_new:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "n_old": pd.Series([], dtype="int64"),
-                                 "n_new": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"bucket": [int(g["bucket"].iloc[0])],
-                             "n_old": [n_old], "n_new": [n_new]})
+    def _cmp(t: pa.Table) -> pa.Table:
+        # each side holds at most one row per bucket run
+        b, side, n, xr = _np(t, "bucket", "side", "n", "xr")
+        starts = np.flatnonzero(run_starts(b))
+        old = side == 0
 
-    return both.groupby("bucket").map_groups(_cmp, batch_format="pandas")
+        def _per_side(fold, v):
+            return (fold.reduceat(np.where(old, v, 0), starts),
+                    fold.reduceat(np.where(old, 0, v), starts))
+
+        n_old, n_new = _per_side(np.add, n)
+        xr_old, xr_new = _per_side(np.bitwise_xor, xr)
+        d = (n_old != n_new) | (xr_old != xr_new)
+        return pa.table({
+            "bucket": pa.array(b[starts][d], pa.int64()),
+            "n_old": pa.array(n_old[d], pa.int64()),
+            "n_new": pa.array(n_new[d], pa.int64()),
+        })
+
+    return sorted_runs(both, "bucket", _cmp)
 
 
 def corpus_diff_rows(old_ds, new_ds, key_col: str, payload_col: str,
@@ -147,22 +155,21 @@ def corpus_diff_rows(old_ds, new_ds, key_col: str, payload_col: str,
     ).union(new_ds.select_columns([key_col, payload_col]).map_batches(
         _slice(1), batch_format="pyarrow"))
 
-    def _classify(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0]
-        n = g[g["side"] == 1]
-        if len(o) and len(n):
-            if int(o["h"].iloc[0]) == int(n["h"].iloc[0]):
-                return pa.table({"key": pa.array([], pa.int64()),
-                                 "change": pa.array([], pa.string())})
-            change = "edited"
-        elif len(o):
-            change = "deleted"
-        else:
-            change = "added"
+    def _classify(t: pa.Table) -> pa.Table:
+        # (key, side) order: a key run is its old rows, then its new
+        s = t.take(pc.sort_indices(t, sort_keys=[("key", "ascending"),
+                                                  ("side", "ascending")]))
+        key, side, h = _np(s, "key", "side", "h")
+        starts = np.flatnonzero(run_starts(key))
+        n_old = np.add.reduceat((side == 0).astype(np.int64), starts)
+        n_new = np.diff(np.r_[starts, len(key)]) - n_old
+        both = (n_old > 0) & (n_new > 0)
+        keep = ~both | (h[starts] != h[np.minimum(starts + n_old,
+                                                  len(key) - 1)])
+        code = np.where(both, 2, np.where(n_old > 0, 1, 0))[keep]
         return pa.table({
-            "key": pa.array([int(g["key"].iloc[0])], pa.int64()),
-            "change": pa.array([change], pa.string()),
+            "key": pa.array(key[starts][keep], pa.int64()),
+            "change": _CHANGES.take(pa.array(code, pa.int64())),
         })
 
-    return both.groupby("key").map_groups(_classify,
-                                          batch_format="pandas")
+    return sorted_runs(both, "key", _classify)

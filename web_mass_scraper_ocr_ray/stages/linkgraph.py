@@ -34,6 +34,7 @@ _logger = logging.getLogger(__name__)
 
 from ..functions.links import links_batch
 from .joins import equi_join
+from .shuffle import sorted_runs
 
 PR_SCALE = 10**12
 PR_D_NUM = 85
@@ -387,7 +388,6 @@ def mutual_links(edges_ds):
     direction). Self-loops are dropped. Skew bound = the hottest min
     endpoint's degree — the same contract as the triangle wedge stage.
     """
-    from .shuffle import sorted_runs
 
     def _canon(t: pa.Table) -> pa.Table:
         a = pc.min_element_wise(t.column("src_host"),
@@ -528,7 +528,6 @@ def host_triangles(edges_ds, src_col: str = "src_host",
             "pair_key": pc.binary_join_element_wise(w1, w2, "|"),
         })
 
-    from .shuffle import sorted_runs
 
     wedges = sorted_runs(canon, "u", _wedges, nulls="raise")
 
@@ -564,8 +563,9 @@ def host_cocitation(edges_ds, min_common: int = 3,
     generation O(max_indegree²) at any scale.
 
     Shape: distinct edges (1 grouped pass) → indegree semi-filter via
-    one co-partition count join → per-target pair explosion inside
-    groupby(dst) → one grouped count. No driver state.
+    one co-partition count join → per-target pair explosion over the
+    dst runs of one ``shuffle.sorted_runs`` → one grouped count. No
+    central state.
     """
     from ray.data.aggregate import Count
 
@@ -602,8 +602,7 @@ def host_cocitation(edges_ds, min_common: int = 3,
         return pa.table({"host_a": pa.array(a_out, pa.string()),
                          "host_b": pa.array(b_out, pa.string())})
 
-    pairs = kept.groupby(dst_col).map_groups(_pairs,
-                                             batch_format="pyarrow")
+    pairs = sorted_runs(kept, dst_col, _pairs)
     counted = pairs.groupby(["host_a", "host_b"]).aggregate(
         Count(alias_name="n_common"))
     return counted.map_batches(
@@ -796,21 +795,12 @@ def kcore_hosts(edges_ds, k: int = 3, rounds: int = 8,
     # distinct directed pairs (each undirected edge appears a→b and
     # b→a exactly once after this)
     def _local_dedup(t: pa.Table) -> pa.Table:
-        import numpy as np
+        return t.group_by(["a", "b"]).aggregate([])
 
-        a = np.asarray(t.column("a").to_pylist(), dtype=object)
-        b = np.asarray(t.column("b").to_pylist(), dtype=object)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-        return pa.table({"a": pa.array(a[keep].tolist(), pa.string()),
-                         "b": pa.array(b[keep].tolist(), pa.string())})
-
-    edges = (edges_ds.map_batches(_sym, batch_format="pyarrow")
-             .map_batches(_drop_self_dup, batch_format="pyarrow")
-             .groupby("a").map_groups(_local_dedup,
-                                      batch_format="pyarrow")
-             ).materialize()
+    edges = sorted_runs(
+        edges_ds.map_batches(_sym, batch_format="pyarrow")
+        .map_batches(_drop_self_dup, batch_format="pyarrow"),
+        "a", _local_dedup).materialize()
 
     nodes = edges.groupby("a").aggregate(Count(alias_name="deg"))
     if nodes.count() <= broadcast_max_nodes:

@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import key_starts, run_ranks, sorted_runs
+
 _MIX = np.uint64(2654435761)
 _M32 = np.uint64(2**32)
 
@@ -71,10 +73,11 @@ def shard_by_hash(ds, id_col: str, n_shards: int):
     row identically), and auditable in SQL.
 
     → input columns + (shard, pos_in_shard). One all-to-all keyed by
-    shard; each group is exactly one output shard, so size n_shards to
-    the intended training-file granularity (a shard must fit a worker
-    — at 100 TB that means thousands of shards, which also keeps the
-    groupby balanced because the mix is uniform)."""
+    shard (``shuffle.sorted_runs``); each run is exactly one output
+    shard, so size n_shards to the intended training-file granularity
+    (a shard must fit a worker — at 100 TB that means thousands of
+    shards, which also keeps the sort balanced because the mix is
+    uniform)."""
 
     def _assign(t: pa.Table) -> pa.Table:
         ids = np.asarray(pc.cast(t.column(id_col), pa.int64()))
@@ -85,16 +88,15 @@ def shard_by_hash(ds, id_col: str, n_shards: int):
         ).append_column("h", pa.array(h.astype(np.int64)))
 
     def _rank(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            t, sort_keys=[("h", "ascending"), (id_col, "ascending")])
-        s = t.take(idx)
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            ("shard", "ascending"), ("h", "ascending"),
+            (id_col, "ascending")]))
+        pos = run_ranks(key_starts(s, "shard"))
         return s.drop_columns(["h"]).append_column(
-            "pos_in_shard",
-            pa.array(np.arange(s.num_rows, dtype=np.int64)))
+            "pos_in_shard", pa.array(pos, pa.int64()))
 
-    return ds.map_batches(
-        _assign, batch_format="pyarrow"
-    ).groupby("shard").map_groups(_rank, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_assign, batch_format="pyarrow"),
+                       "shard", _rank)
 
 
 def upsample_by_group(ds, group_col: str,
@@ -167,10 +169,11 @@ def pack_token_budget(ds, id_col: str, cost_col: str,
     Documents may straddle a cut — exactly the semantics of packed
     pretraining batches (no padding, no per-bin fitting).
 
-    Shard = mix(id) % n_shards (stateless), then ONE keyed shuffle and
-    a per-shard vectorized cumsum inside ``map_groups``. The
+    Shard = mix(id) % n_shards (stateless), then ONE
+    ``shuffle.sorted_runs`` on the shard and a vectorized cumsum over
+    every shard run of a sorted block, reset at each run start. The
     sequential prefix-sum lives entirely inside a shard, so shard
-    count — not corpus size — bounds group memory: at 100 TB use
+    count — not corpus size — bounds run memory: at 100 TB use
     thousands of shards (the mix is uniform, so shards stay balanced).
     """
 
@@ -181,18 +184,18 @@ def pack_token_budget(ds, id_col: str, cost_col: str,
             "shard", pa.array((h % np.uint64(n_shards)).astype(np.int64)))
 
     def _pack(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[(id_col, "ascending")])
-        s = g.take(idx)
+        s = g.take(pc.sort_indices(g, sort_keys=[
+            ("shard", "ascending"), (id_col, "ascending")]))
         cost = np.asarray(pc.cast(s.column(cost_col), pa.int64()))
-        cum = np.zeros(len(cost), dtype=np.int64)
-        np.cumsum(cost[:-1], out=cum[1:])
+        cum = np.cumsum(cost) - cost  # exclusive, over the whole block
+        first = np.arange(len(cum)) - run_ranks(key_starts(s, "shard"))
+        cum -= cum[first]
         return s.append_column(
             "bin_id", pa.array(cum // budget, pa.int64())
         ).append_column("bin_offset", pa.array(cum % budget, pa.int64()))
 
-    return ds.map_batches(
-        _shard, batch_format="pyarrow"
-    ).groupby("shard").map_groups(_pack, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_shard, batch_format="pyarrow"),
+                       "shard", _pack)
 
 
 def latest_per_group(ds, group_col: str, order_col: str,
@@ -200,18 +203,17 @@ def latest_per_group(ds, group_col: str, order_col: str,
     """Newest-row-wins dedup — 'keep the latest crawl of every url':
     the single row per group with the greatest ``(order_col,
     tiebreak_col)``. Exact two-phase argmax: a per-batch per-group
-    max is a valid partial, so the groupby shuffle carries at most one
-    row per (group, batch) — a hot key (a url recrawled millions of
-    times) contributes blocks-many candidate rows, never its full
-    history."""
+    max is a valid partial, so the ``shuffle.sorted_runs`` exchange
+    carries at most one row per (group, batch) — a hot key (a url
+    recrawled millions of times) contributes blocks-many candidate
+    rows, never its full history. A null group is one group."""
     keys = [(order_col, "descending"), (tiebreak_col, "descending")]
 
     def _partial(t: pa.Table) -> pa.Table:
         return _group_topk(t, group_col, 1, keys)
 
-    return ds.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(group_col).map_groups(_partial, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_partial, batch_format="pyarrow"),
+                       group_col, _partial)
 
 
 def _group_topk(t: pa.Table, group_col: str, k: int,
@@ -224,15 +226,7 @@ def _group_topk(t: pa.Table, group_col: str, k: int,
     idx = pc.sort_indices(t, sort_keys=[(group_col, "ascending")]
                           + list(sort_keys))
     s = t.take(idx)
-    grp = s.column(group_col).to_numpy(zero_copy_only=False)
-    # first index of each run of equal group values (sorted ⇒ runs)
-    change = np.empty(len(grp), dtype=bool)
-    change[0] = True
-    change[1:] = grp[1:] != grp[:-1]
-    first = np.maximum.accumulate(
-        np.where(change, np.arange(len(grp)), 0))
-    rank = np.arange(len(grp)) - first
-    return s.filter(pa.array(rank < k))
+    return s.filter(pa.array(run_ranks(key_starts(s, group_col)) < k))
 
 
 def cap_per_group(ds, group_col: str, k: int, order_col: str,
@@ -243,11 +237,12 @@ def cap_per_group(ds, group_col: str, k: int, order_col: str,
 
     Exact two-phase: a per-batch per-group top-k is a valid PARTIAL
     (a batch's rows beyond its own k-th for a group can never be in
-    that group's global top-k), so the groupby shuffle carries at most
-    k rows per (group, batch) instead of every row of hot domains —
-    the same pruning shape as vocab_topk. The final per-group top-k
-    runs inside ``map_groups``; group memory is bounded by
-    k × n_blocks rows, not by the hottest domain's row count.
+    that group's global top-k), so the ``shuffle.sorted_runs``
+    exchange carries at most k rows per (group, batch) instead of
+    every row of hot domains — the same pruning shape as vocab_topk.
+    The same kernel then takes the final top-k of every group run of a
+    sorted block; a run is bounded by k × n_blocks rows, not by the
+    hottest domain's row count. A null group is one group.
     """
     keys = [(order_col, "ascending")] + (
         [(tiebreak_col, "ascending")] if tiebreak_col else [])
@@ -255,9 +250,8 @@ def cap_per_group(ds, group_col: str, k: int, order_col: str,
     def _partial(t: pa.Table) -> pa.Table:
         return _group_topk(t, group_col, k, keys)
 
-    return ds.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(group_col).map_groups(_partial, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_partial, batch_format="pyarrow"),
+                       group_col, _partial)
 
 
 def sample_bottomk(ds, id_col: str, k: int):
@@ -336,7 +330,7 @@ def sample_bottomk_per_group(ds, id_col: str, group_col: str, k: int):
     the k smallest per group win.
 
     Scale shape = :func:`cap_per_group`: the per-batch per-group
-    bottom-k is a valid partial, so the groupby shuffle carries at most
+    bottom-k is a valid partial, so the exchange carries at most
     k rows per (group, batch) — a group's full membership never moves.
     Groups smaller than k keep all their rows (exactly what a quota
     sampler should do). → input columns + ``hv`` (auditable, and the
@@ -353,11 +347,9 @@ def sample_bottomk_per_group(ds, id_col: str, group_col: str, k: int):
     def _partial(t: pa.Table) -> pa.Table:
         return _group_topk(t, group_col, k, keys)
 
-    return ds.map_batches(
-        _hash, batch_format="pyarrow"
-    ).map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(group_col).map_groups(_partial, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_hash, batch_format="pyarrow")
+                       .map_batches(_partial, batch_format="pyarrow"),
+                       group_col, _partial)
 
 
 def rank_per_group(ds, group_col: str, order_col: str):
@@ -371,20 +363,13 @@ def rank_per_group(ds, group_col: str, order_col: str):
     with the vectorized first-occurrence trick — a hot group costs one
     sort inside one block, never a per-group task. A null group ranks
     as one group of its own."""
-    from .shuffle import sorted_runs
 
     def _rank(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
             g, sort_keys=[(group_col, "ascending"),
                           (order_col, "ascending")])
         s = g.take(idx)
-        grp = np.asarray(s.column(group_col).to_pylist(), dtype=object)
-        change = np.empty(len(grp), dtype=bool)
-        change[0] = True
-        change[1:] = grp[1:] != grp[:-1]
-        first = np.maximum.accumulate(
-            np.where(change, np.arange(len(grp)), 0))
-        rank = np.arange(len(grp)) - first
+        rank = run_ranks(key_starts(s, group_col))
         return s.append_column("group_rank", pa.array(rank, pa.int64()))
 
     return sorted_runs(ds, group_col, _rank)
@@ -405,8 +390,6 @@ def lag_per_group(ds, group_col: str, order_col: str, value_col: str):
     recrawled millions of times costs one in-block sort, never a
     per-group task or driver state.
     """
-    from .shuffle import sorted_runs
-
     out_col = f"prev_{value_col}"
 
     def _lag(g: pa.Table) -> pa.Table:
@@ -415,17 +398,13 @@ def lag_per_group(ds, group_col: str, order_col: str, value_col: str):
             g, sort_keys=[(group_col, "ascending"),
                           (order_col, "ascending")])
         s = g.take(idx)
-        grp = np.asarray(s.column(group_col).to_pylist(), dtype=object)
-        run_start = np.empty(len(grp), dtype=bool)
-        run_start[0] = True
-        run_start[1:] = grp[1:] != grp[:-1]
+        n = s.num_rows
         vals = s.column(value_col).combine_chunks()
         # shift down by one, then null out every run's first row
         shifted = pa.concat_arrays(
-            [pa.nulls(1, val_type),
-             vals.cast(val_type).slice(0, len(grp) - 1)])
-        prev = pc.if_else(pa.array(run_start), pa.nulls(len(grp), val_type),
-                          shifted)
+            [pa.nulls(1, val_type), vals.cast(val_type).slice(0, n - 1)])
+        prev = pc.if_else(pa.array(key_starts(s, group_col)),
+                          pa.nulls(n, val_type), shifted)
         return s.append_column(out_col, prev)
 
     return sorted_runs(ds, group_col, _lag)

@@ -11,8 +11,8 @@ probabilities. A Markov chain estimated with three distributed steps:
      at most |types|² rows to the next exchange, not 10⁶;
   2. global pair counts via the map-side combiner
      (`shuffle.two_phase_aggregate`) — O(|types|²) rows shuffle;
-  3. per-from normalization as a second tiny groupby over the matrix
-     itself (|types| groups) — probabilities in basis points by
+  3. per-from normalization as a second tiny ``sorted_runs`` over the
+     matrix itself (|types| runs) — probabilities in basis points by
      integer floor division, bit-stable under any summation order.
 
 Ordering contract: (ts, tiebreak_col) must totally order each user's
@@ -22,10 +22,11 @@ events (holds for this corpus — event_id breaks ts ties).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .shuffle import two_phase_aggregate
+from .shuffle import (key_starts, run_ranks, run_starts, sorted_runs,
+                      two_phase_aggregate)
 
 
 def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
@@ -36,15 +37,9 @@ def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
     ``(ev1..evn, n)``: one ``shuffle.sorted_runs`` on the user, one
     (user, ts, tiebreak) sort per sorted block, windows via shifted
     slices (user sorted ⟹ equal endpoints ⟹ one run), in-block
-    pandas combine, then the tiny keyed aggregate. Replaces the
-    per-user ``groupby(user).map_groups`` form, which pays one Python
-    call per user and dies at 10⁹ users. The (ts, tiebreak) sort key
-    makes identical-timestamp bursts deterministic (r5
-    adversarial-gate tie-break contract)."""
-    import pyarrow.compute as pc
-
-    from .shuffle import sorted_runs
-
+    Arrow combine, then the tiny keyed aggregate — no Python call per
+    user. The (ts, tiebreak) sort key makes identical-timestamp bursts
+    deterministic (r5 adversarial-gate tie-break contract)."""
     cols = list(out_cols or (f"ev{i + 1}" for i in range(n)))
     out_schema = pa.schema(
         [(c, pa.string()) for c in cols] + [("n", pa.int64())])
@@ -57,17 +52,16 @@ def event_ngrams(ev_ds, n: int, user_col: str = "user_id",
             (tiebreak_col, "ascending")])
         s = g.take(idx).combine_chunks()
         uid = s.column(user_col).to_numpy(zero_copy_only=False)
-        typ = np.asarray(s.column(type_col).to_pylist(), object)
         m = len(uid)
         if m < n:
             return _empty
         keep = np.flatnonzero(uid[n - 1:] == uid[:m - n + 1])
         if len(keep) == 0:
             return _empty
-        df = pd.DataFrame({cols[i]: typ[keep + i] for i in range(n)})
-        out = df.groupby(cols, sort=False).size().astype(
-            "int64").reset_index(name="n")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        typ = s.column(type_col).cast(pa.string())
+        out = pa.table({cols[i]: typ.take(keep + i) for i in range(n)}
+                       ).group_by(cols).aggregate([([], "count_all")])
+        return out.rename_columns(cols + ["n"])
 
     grams = sorted_runs(
         ev_ds.select_columns(
@@ -82,101 +76,37 @@ def event_transitions(ev_ds, user_col: str = "user_id",
     """→ ``(ev_from, ev_to, n, p_bp)``: count and within-from share
     (basis points) of each consecutive event-type transition — the
     n=2 instance of :func:`event_ngrams`, plus a tiny per-from
-    normalization (|event types| groups)."""
+    normalization over the ``ev_from`` runs of one ``sorted_runs``
+    (|event types| runs)."""
     counts = event_ngrams(ev_ds, 2, user_col, type_col, ts_col,
                           tiebreak_col, out_cols=("ev_from", "ev_to"))
 
-    def _norm(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["p_bp"] = (g["n"].astype("int64") * 10000) // int(g["n"].sum())
-        return g
+    def _norm(t: pa.Table) -> pa.Table:
+        starts = np.flatnonzero(key_starts(t, "ev_from"))
+        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+        tot = np.repeat(np.add.reduceat(n, starts),
+                        np.diff(np.r_[starts, len(n)]))
+        return t.append_column("p_bp", pa.array(n * 10000 // tot,
+                                                pa.int64()))
 
-    return counts.groupby("ev_from").map_groups(
-        _norm, batch_format="pandas")
+    return sorted_runs(counts, "ev_from", _norm)
 
 
-def late_events(ev_ds, watermark_us: int, order_col: str = "event_id",
-                ts_col: str = "ts", n_ranges: int = 64,
-                keep_cols: tuple = ("user_id",)):
-    """Watermark-based late-data detection — the streaming primitive
-    batch engines fake with a GLOBAL running max: an event is LATE
-    when its timestamp falls more than ``watermark_us`` behind the
-    max timestamp of everything that ARRIVED before it (arrival order
-    = ``order_col``).
-
-    The global prefix-max is a range-partitioned scan, no sort of the
-    full table: (1) min/max of ``order_col`` (one cheap aggregate)
-    define n_ranges LINEAR buckets — bucket balance affects only
-    load, never correctness; (2) a stateless map assigns each row its
-    bucket; (3) per-bucket max(ts) — a tiny n_ranges-row table the
-    driver folds into per-bucket CARRY values (prefix-max of all
-    strictly earlier buckets); (4) in-bucket sort + running max,
-    seeded by the carry. Rows shuffle ONCE (the bucket groupby);
-    everything else is n_ranges-sized.
-
-    → late rows only: (order_col, *keep_cols, ts_col, watermark_ts);
-    ``keep_cols`` are the passthrough columns projected onto the late
-    rows (default matches the events table's user_id)."""
+def _range_scan(ds, order_col: str, val_col: str, n_ranges: int, agg,
+                fold, kernel):
+    """The range-partitioned SCAN :func:`late_events` and
+    :func:`global_running_sum` share, with no global sort: (1) min/max
+    of ``order_col`` define ``n_ranges`` LINEAR buckets — bucket
+    balance affects only load, never correctness; (2) a stateless map
+    assigns each row its bucket; (3) the per-bucket ``agg`` of
+    ``val_col`` — an n_ranges-row table the caller folds (``fold``
+    = ``np.maximum`` / ``np.add``) into per-bucket CARRY values over
+    all strictly earlier buckets; (4) one ``sorted_runs`` on the
+    bucket: ``kernel(s, starts, carry, has_carry)`` gets each sorted
+    block in (bucket, order_col) order with its bucket-run starts and
+    every row's carry. Rows shuffle ONCE."""
+    import ray
     from ray.data.aggregate import Max, Min
-
-    mm = ev_ds.aggregate(Min(order_col), Max(order_col))
-    lo = int(mm[f"min({order_col})"])
-    hi = int(mm[f"max({order_col})"])
-    span = max(hi - lo + 1, 1)
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        o = t.column(order_col).to_numpy(zero_copy_only=False)
-        b = np.clip((o - lo) * n_ranges // span, 0, n_ranges - 1)
-        return t.append_column("_b", pa.array(b.astype(np.int32)))
-
-    bucketed = ev_ds.map_batches(_bucket,
-                                 batch_format="pyarrow").materialize()
-
-    from ray.data.aggregate import Max
-
-    per_bucket = bucketed.groupby("_b").aggregate(
-        Max(ts_col, alias_name="mx")).to_pandas().sort_values("_b")
-    carry = {}
-    running = None
-    for _, row in per_bucket.iterrows():
-        carry[int(row["_b"])] = running  # max of STRICTLY earlier buckets
-        running = row["mx"] if running is None else max(running, row["mx"])
-
-    def _scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col)
-        b = int(g["_b"].iloc[0])
-        prev = g[ts_col].cummax().shift(1)
-        c = carry.get(b)
-        if c is not None:
-            prev = prev.fillna(c).combine(
-                pd.Series([c] * len(prev), index=prev.index), max)
-        wm = prev - pd.Timedelta(microseconds=watermark_us)
-        late = prev.notna() & (g[ts_col] < wm)
-        out = g[late][[order_col, *keep_cols, ts_col]].copy()
-        out["watermark_ts"] = prev[late]
-        return out
-
-    return bucketed.groupby("_b").map_groups(_scan,
-                                             batch_format="pandas")
-
-
-def global_running_sum(ds, order_col: str, val_col: str,
-                       n_ranges: int = 64, out_col: str = "running"):
-    """Global running total of ``val_col`` in ``order_col`` order —
-    the classic distributed SCAN primitive (SUM() OVER (ORDER BY …)),
-    generalizing :func:`late_events`' prefix-max machinery to SUM.
-
-    No global sort: (1) min/max of ``order_col`` define n_ranges
-    LINEAR buckets; (2) stateless bucket assignment; (3) per-bucket
-    sums — an n_ranges-row table the driver folds into per-bucket
-    CARRY offsets (sum of all strictly earlier buckets); (4) in-bucket
-    sort + cumsum seeded by the carry. Rows shuffle ONCE. Requires
-    ``order_col`` values to be unique for a well-defined prefix (the
-    oracle's window frame) — use a unique key or break ties upstream.
-
-    → (order_col, val_col, ``out_col``), one row per input row."""
-    import pandas as pd
-    from ray.data.aggregate import Max, Min, Sum
 
     mm = ds.aggregate(Min(order_col), Max(order_col))
     lo = int(mm[f"min({order_col})"])
@@ -188,26 +118,92 @@ def global_running_sum(ds, order_col: str, val_col: str,
         b = np.clip((o - lo) * n_ranges // span, 0, n_ranges - 1)
         return t.append_column("_b", pa.array(b.astype(np.int32)))
 
-    bucketed = ds.select_columns([order_col, val_col]).map_batches(
-        _bucket, batch_format="pyarrow").materialize()
+    bucketed = ds.map_batches(_bucket, batch_format="pyarrow").materialize()
+    per = pa.concat_tables([
+        t for t in ray.get(bucketed.groupby("_b").aggregate(
+            agg(val_col, alias_name="a")).to_arrow_refs()) if t.num_columns
+    ]).sort_by("_b")
+    b_ids = per.column("_b").to_numpy()
+    upto = fold.accumulate(per.column("a").to_numpy())  # inclusive
 
-    per_bucket = bucketed.groupby("_b").aggregate(
-        Sum(val_col, alias_name="s")).to_pandas().sort_values("_b")
-    carry = {}
-    running = 0
-    for _, row in per_bucket.iterrows():
-        carry[int(row["_b"])] = running  # sum of STRICTLY earlier buckets
-        running += int(row["s"])
+    def _scan(t: pa.Table) -> pa.Table:
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            ("_b", "ascending"), (order_col, "ascending")]))
+        b = s.column("_b").to_numpy()
+        i = np.searchsorted(b_ids, b)
+        return kernel(s, run_starts(b), upto[np.maximum(i - 1, 0)], i > 0)
 
-    def _scan(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col)
-        b = int(g["_b"].iloc[0])
-        out = g[[order_col, val_col]].copy()
-        out[out_col] = g[val_col].cumsum() + carry.get(b, 0)
-        return out
+    return sorted_runs(bucketed, "_b", _scan)
 
-    return bucketed.groupby("_b").map_groups(_scan,
-                                             batch_format="pandas")
+
+def late_events(ev_ds, watermark_us: int, order_col: str = "event_id",
+                ts_col: str = "ts", n_ranges: int = 64,
+                keep_cols: tuple = ("user_id",)):
+    """Watermark-based late-data detection — the streaming primitive
+    batch engines fake with a GLOBAL running max: an event is LATE
+    when its timestamp falls more than ``watermark_us`` behind the
+    max timestamp of everything that ARRIVED before it (arrival order
+    = ``order_col``).
+
+    The global prefix-max is :func:`_range_scan` over per-bucket
+    max(ts): each bucket run's running max is seeded by the prefix-max
+    of all strictly earlier buckets. Rows shuffle ONCE; everything
+    else is n_ranges-sized.
+
+    → late rows only: (order_col, *keep_cols, ts_col, watermark_ts);
+    ``keep_cols`` are the passthrough columns projected onto the late
+    rows (default matches the events table's user_id)."""
+    from ray.data.aggregate import Max
+
+    def _late(s: pa.Table, starts, carry, has) -> pa.Table:
+        ts = s.column(ts_col).to_numpy()
+        n = len(ts)
+        # running max of ts within each bucket run: rank-encode ts and
+        # offset each run by run·n, so one accumulate resets per run
+        run = np.cumsum(starts) - 1
+        order = np.argsort(ts, kind="stable")
+        code = run * n
+        code[order] += np.arange(n)
+        upto = ts[order[np.maximum.accumulate(code) - run * n]]
+        prev = np.concatenate([upto[:1], upto[:-1]])  # strictly earlier
+        prev = np.where(has, np.maximum(prev, carry), prev)
+        prev = np.where(starts, carry, prev)
+        late = (~starts | has) & (
+            ts < prev - np.timedelta64(watermark_us, "us"))
+        out = s.filter(pa.array(late)).select(
+            [order_col, *keep_cols, ts_col])
+        return out.append_column("watermark_ts", pa.array(
+            prev[late], s.schema.field(ts_col).type))
+
+    return _range_scan(ev_ds, order_col, ts_col, n_ranges, Max, np.maximum,
+                       _late)
+
+
+def global_running_sum(ds, order_col: str, val_col: str,
+                       n_ranges: int = 64, out_col: str = "running"):
+    """Global running total of ``val_col`` in ``order_col`` order —
+    the classic distributed SCAN primitive (SUM() OVER (ORDER BY …)),
+    generalizing :func:`late_events`' prefix-max machinery to SUM.
+
+    No global sort: :func:`_range_scan` over per-bucket sums; each
+    bucket run's cumsum is seeded by the sum of all strictly earlier
+    buckets. Rows shuffle ONCE. Requires
+    ``order_col`` values to be unique for a well-defined prefix (the
+    oracle's window frame) — use a unique key or break ties upstream.
+
+    → (order_col, val_col, ``out_col``), one row per input row."""
+    from ray.data.aggregate import Sum
+
+    def _sum(s: pa.Table, starts, carry, has) -> pa.Table:
+        v = s.column(val_col).to_numpy()
+        cs = np.cumsum(v)
+        first = np.arange(len(v)) - run_ranks(starts)
+        run = cs - (cs - v)[first] + np.where(has, carry, 0)
+        return s.select([order_col, val_col]).append_column(
+            out_col, pa.array(run))
+
+    return _range_scan(ds.select_columns([order_col, val_col]), order_col,
+                       val_col, n_ranges, Sum, np.add, _sum)
 
 
 def ordered_funnel(ev_ds, stages, user_col: str = "user_id",

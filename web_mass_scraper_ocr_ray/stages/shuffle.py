@@ -15,17 +15,17 @@ O(distinct keys × batches) rows instead of O(rows). This is the
 difference between a 100 TB shuffle and a few-GB one when keys repeat
 heavily (hostnames do: a CC-scale crawl has ~10⁸ hosts for 10¹² pages).
 
-For non-algebraic per-group logic with HOT keys, the companion pattern
-is salting: group by (key, hash(row) % n_salts), reduce within salt,
-then merge per key — bounded group size at the cost of a second tiny
-aggregate. ``salted_group_sizes`` below is the probe used to decide.
+For a non-algebraic kernel with HOT keys (one key's run is one
+:func:`sorted_runs` call, unbounded), the companion pattern is salting:
+key by (key, row position % n_salts), reduce within salt, then merge
+per key — bounded run size at the cost of a second tiny aggregate.
+``salted_group_sizes`` below is the probe used to decide.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-import pandas as pd
 import pyarrow as pa
 
 # spec: out_col -> (in_col | None for count, op in sum|count|min|max)
@@ -184,21 +184,26 @@ def compact_state(state_ds, delta_ds, key, spec: AggSpec):
 
 def salted_group_sizes(ds, key, n_salts: int = 16):
     """Diagnostic: per-(key, salt) sizes — the probe for deciding
-    whether a hot key needs salting before a per-group map_groups."""
+    whether a hot key needs salting before a per-key
+    :func:`sorted_runs` kernel. Salt = row position in its batch
+    modulo ``n_salts``; per-batch counts merge per key run of one
+    :func:`sorted_runs`. A null key is one group."""
     import numpy as np
 
-    def _salt(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_salt"] = np.arange(len(df)) % n_salts
-        return df.groupby([key, "_salt"], as_index=False).size().rename(
-            columns={"size": "n"}
-        )
+    def _salt(t: pa.Table) -> pa.Table:
+        res = pa.table({
+            key: t.column(key),
+            "_salt": pa.array(np.arange(t.num_rows) % n_salts,
+                              pa.int64()),
+        }).group_by([key, "_salt"]).aggregate([([], "count_all")])
+        return res.rename_columns([key, "_salt", "n"])
 
-    from ray.data.aggregate import Sum
+    def _merge(t: pa.Table) -> pa.Table:
+        res = t.group_by([key, "_salt"]).aggregate([("n", "sum")])
+        return res.rename_columns([key, "_salt", "n"])
 
-    return ds.map_batches(_salt, batch_format="pandas").groupby(
-        [key, "_salt"]
-    ).aggregate(Sum("n", alias_name="n"))
+    return sorted_runs(ds.map_batches(_salt, batch_format="pyarrow"),
+                       key, _merge)
 
 
 def category_diversity(ds, key_col: str, cat_col: str):
@@ -210,10 +215,13 @@ def category_diversity(ds, key_col: str, cat_col: str):
     Two-phase: an Arrow hash-aggregate collapses each batch to
     (key, cat, n) partials BEFORE the shuffle — the all-to-all moves
     O(keys × cats × batches) rows, never the corpus — then one
-    ``groupby(key)`` merges cat partials and reduces to a single row
-    per key inside ``map_groups`` (group size = that key's distinct
-    cats × batches, bounded by the category alphabet)."""
+    :func:`sorted_runs` on the key merges the cat partials of every
+    key run of a sorted block and keeps the first row per run under
+    (key, n desc, cat asc) (a run = that key's distinct cats ×
+    batches, bounded by the category alphabet). A null key is one
+    group."""
     import numpy as np
+    import pyarrow.compute as pc
 
     def _partial(t: pa.Table) -> pa.Table:
         res = t.select([key_col, cat_col]).group_by(
@@ -221,26 +229,27 @@ def category_diversity(ds, key_col: str, cat_col: str):
         return res.rename_columns([key_col, cat_col, "n"])
 
     def _final(g: pa.Table) -> pa.Table:
-        merged = g.group_by([cat_col]).aggregate([("n", "sum")])
-        cats = merged.column(cat_col).to_numpy(zero_copy_only=False)
-        ns = merged.column("n_sum").to_numpy(zero_copy_only=False) \
+        merged = g.group_by([key_col, cat_col]).aggregate([("n", "sum")])
+        # dominant category first: max count, tie-break category asc
+        m = merged.take(pc.sort_indices(merged, sort_keys=[
+            (key_col, "ascending"), ("n_sum", "descending"),
+            (cat_col, "ascending")]))
+        starts = np.flatnonzero(key_starts(m, key_col))
+        ns = m.column("n_sum").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        total = int(ns.sum())
-        # dominant category: max count, tie-break category ascending
-        order = np.lexsort((cats, -ns))
-        top = order[0]
+        total = np.add.reduceat(ns, starts)
+        top = m.take(starts)
         return pa.table({
-            key_col: pa.array([g.column(key_col)[0].as_py()]),
-            "n_rows": pa.array([total], pa.int64()),
-            "n_cats": pa.array([len(cats)], pa.int64()),
-            "top_cat": pa.array([str(cats[top])], pa.string()),
-            "top_cat_bp": pa.array(
-                [10000 * int(ns[top]) // total], pa.int64()),
+            key_col: top.column(key_col),
+            "n_rows": pa.array(total, pa.int64()),
+            "n_cats": pa.array(np.diff(np.r_[starts, len(ns)]),
+                               pa.int64()),
+            "top_cat": pc.cast(top.column(cat_col), pa.string()),
+            "top_cat_bp": pa.array(10000 * ns[starts] // total, pa.int64()),
         })
 
-    return ds.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(key_col).map_groups(_final, batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_partial, batch_format="pyarrow"),
+                       key_col, _final)
 
 
 def rebalance_by_size(ds, size_col: str, id_col: str,
@@ -255,7 +264,8 @@ def rebalance_by_size(ds, size_col: str, id_col: str,
     byte decade) and sizes a fan-out per decade: a decade holding B
     bytes gets ⌈B / target_group_bytes⌉ output groups. Pass 2 assigns
     each row ``group = base[decade] + hash(id) % fanout[decade]`` and
-    one keyed shuffle materializes groups of ≈ target bytes each —
+    one :func:`sorted_runs` on the group materializes groups of ≈
+    target bytes each —
     giant documents spread across many groups, small documents pack
     densely. Rows and columns are unchanged (the key is dropped unless
     ``keep_key``, which retains ``size_group`` for auditing);
@@ -306,10 +316,8 @@ def rebalance_by_size(ds, size_col: str, id_col: str,
                  for c in g.column_names])
         return g.drop_columns(["_size_group"])
 
-    return ds.map_batches(
-        _assign, batch_format="pyarrow"
-    ).groupby("_size_group").map_groups(_identity,
-                                        batch_format="pyarrow")
+    return sorted_runs(ds.map_batches(_assign, batch_format="pyarrow"),
+                       "_size_group", _identity)
 
 
 def _stringlike(typ: pa.DataType) -> bool:
@@ -420,6 +428,30 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
         return out
     out[0] = True
     out[1:] = keys[1:] != keys[:-1]
+    return out
+
+
+def run_ranks(starts: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run, from a
+    :func:`run_starts` mask (rank-in-group of a sorted block)."""
+    import numpy as np
+
+    idx = np.arange(len(starts))
+    return idx - np.maximum.accumulate(np.where(starts, idx, 0))
+
+
+def key_starts(t: pa.Table, keys) -> np.ndarray:
+    """:func:`run_starts` over the key column(s) of a sorted table: a
+    row starts a run when any key changes, and a null key (of any
+    type) is one run."""
+    import numpy as np
+
+    out = np.zeros(t.num_rows, dtype=bool)
+    for k in [keys] if isinstance(keys, str) else keys:
+        col = t.column(k)
+        out |= run_starts(col.to_numpy(zero_copy_only=False)
+                          if not col.null_count
+                          else np.asarray(col.to_pylist(), dtype=object))
     return out
 
 

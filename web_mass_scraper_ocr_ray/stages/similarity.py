@@ -5,8 +5,9 @@ Two paths per the build brief:
   - **brute-force cosine top-k** (the exact baseline): the query matrix
     is broadcast ONCE via ``ray.put`` and read per actor — per batch a
     single numpy matmul scores (batch × queries); each batch emits only
-    its local top-k rows, the final top-k is a tiny per-query
-    ``groupby.map_groups``. The full similarity matrix never exists.
+    its local top-k rows, the final top-k is one vectorized pass over
+    the query runs of a tiny ``shuffle.sorted_runs``. The full
+    similarity matrix never exists.
   - **LSH-bucketed ANN** (the scale path): random-hyperplane signatures
     (Charikar SimHash for angles) bucket vectors; queries probe only
     their own bucket ± multiprobe neighbors. Recall is tested in
@@ -22,6 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .shuffle import run_ranks, run_starts, sorted_runs
 
 
 def _matrix(batch_col) -> np.ndarray:
@@ -63,13 +67,35 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+def _final_topk(partials, k: int):
+    """(query_id, neighbor_id, cosine) candidates → the exact top-k per
+    query as (query_id, rank, neighbor_id): one ``sorted_runs`` on the
+    query, then one sort per block under the stable total order
+    (cosine desc, then id asc) and the first k of each query run.
+    A query's own id is never its neighbor."""
+
+    def _topk(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t.column("neighbor_id"),
+                                  t.column("query_id")))
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            ("query_id", "ascending"), ("cosine", "descending"),
+            ("neighbor_id", "ascending")]))
+        rank = run_ranks(run_starts(s.column("query_id").to_numpy()))
+        keep = rank < k
+        return pa.table({
+            "query_id": s.column("query_id").filter(keep),
+            "rank": pa.array(rank[keep] + 1, pa.int64()),
+            "neighbor_id": s.column("neighbor_id").filter(keep),
+        })
+
+    return sorted_runs(partials, "query_id", _topk)
+
+
 def _fetch_rows_by_id(ds, id_col: str, ids) -> list:
     """Fetch a small set of rows by id — vectorized ``pc.is_in`` inside
     map_batches (a per-row Python ``filter(lambda)`` scans the whole
     dataset through the interpreter; this one stays in Arrow kernels).
     Only the matching rows (≤ len(ids)) ever reach the driver."""
-    import pyarrow.compute as pc
-
     idset = pa.array(sorted(int(i) for i in ids), pa.int64())
 
     def _f(t: pa.Table) -> pa.Table:
@@ -127,24 +153,8 @@ def knn_bruteforce(emb_ds, query_ids, k: int = 5,
                 pa.float64()),
         })
 
-    def _final_topk(group: pa.Table) -> pa.Table:
-        q = group.column("query_id")[0].as_py()
-        nid = np.asarray(group.column("neighbor_id").to_pylist())
-        cos = np.asarray(group.column("cosine").to_pylist())
-        mask = nid != q  # exclude self
-        nid, cos = nid[mask], cos[mask]
-        # stable total order: cosine desc, then id asc (tie-break)
-        order = np.lexsort((nid, -cos))[:k]
-        return pa.table({
-            "query_id": pa.array([q] * len(order), pa.int64()),
-            "rank": pa.array(list(range(1, len(order) + 1)), pa.int64()),
-            "neighbor_id": pa.array([int(nid[i]) for i in order], pa.int64()),
-        })
-
-    partials = emb_ds.map_batches(_partial_topk, batch_format="pyarrow")
-    return partials.groupby("query_id").map_groups(
-        _final_topk, batch_format="pyarrow"
-    )
+    return _final_topk(
+        emb_ds.map_batches(_partial_topk, batch_format="pyarrow"), k)
 
 
 class HyperplaneHasher:
@@ -236,21 +246,8 @@ def knn_lsh(emb_ds, query_ids, k: int = 5, n_bits: int = 6,
             "cosine": pa.array(cos, pa.float64()),
         })
 
-    def _final_topk(group: pa.Table) -> pa.Table:
-        q = group.column("query_id")[0].as_py()
-        nid = np.asarray(group.column("neighbor_id").to_pylist())
-        cos = np.asarray(group.column("cosine").to_pylist())
-        order = np.lexsort((nid, -cos))[:k]
-        return pa.table({
-            "query_id": pa.array([q] * len(order), pa.int64()),
-            "rank": pa.array(list(range(1, len(order) + 1)), pa.int64()),
-            "neighbor_id": pa.array([int(nid[i]) for i in order], pa.int64()),
-        })
-
-    partials = emb_ds.map_batches(_score_bucketed, batch_format="pyarrow")
-    return partials.groupby("query_id").map_groups(
-        _final_topk, batch_format="pyarrow"
-    )
+    return _final_topk(
+        emb_ds.map_batches(_score_bucketed, batch_format="pyarrow"), k)
 
 
 class IVFIndexParams:
@@ -346,20 +343,8 @@ def knn_ivf(emb_ds, query_ids, k: int = 5, n_clusters: int = 16,
             "cosine": pa.array(cos, pa.float64()),
         })
 
-    def _final_topk(group: pa.Table) -> pa.Table:
-        q = group.column("query_id")[0].as_py()
-        nid = np.asarray(group.column("neighbor_id").to_pylist())
-        cos = np.asarray(group.column("cosine").to_pylist())
-        order = np.lexsort((nid, -cos))[:k]
-        return pa.table({
-            "query_id": pa.array([q] * len(order), pa.int64()),
-            "rank": pa.array(list(range(1, len(order) + 1)), pa.int64()),
-            "neighbor_id": pa.array([int(nid[i]) for i in order], pa.int64()),
-        })
-
-    return emb_ds.map_batches(_score, batch_format="pyarrow").groupby(
-        "query_id"
-    ).map_groups(_final_topk, batch_format="pyarrow")
+    return _final_topk(emb_ds.map_batches(_score, batch_format="pyarrow"),
+                       k)
 
 
 def embedding_neardup_pairs(emb_ds, threshold: float = 0.9,
@@ -370,8 +355,9 @@ def embedding_neardup_pairs(emb_ds, threshold: float = 0.9,
 
     Triangular block self-join: each vector lands in block
     ``id % n_blocks`` and is replicated to every block-PAIR cell
-    containing its block (n_blocks cells per vector); ONE groupby
-    shuffle co-locates each (i, j) cell; the in-cell matmul emits only
+    containing its block (n_blocks cells per vector); ONE
+    ``shuffle.sorted_runs`` co-locates each (i, j) cell; the in-cell
+    matmul (one per cell run of a sorted block) emits only
     above-threshold pairs. Every unordered pair occurs in exactly one
     cell, so no driver materialization, no full-matrix broadcast, no
     dedup pass. Replication factor = n_blocks; cell size ≈ 2N/n_blocks
@@ -400,26 +386,34 @@ def embedding_neardup_pairs(emb_ds, threshold: float = 0.9,
         ).append_column("cell", pa.array(cells, pa.int32()))
 
     def _cell_pairs(g: pa.Table) -> pa.Table:
-        cell = g.column("cell")[0].as_py()
-        i, j = cell // n_blocks, cell % n_blocks
+        # one matmul per cell run of the sorted block
+        cells = g.column("cell").to_numpy()
         ids = _ids_np(g.column(id_col))
         blocks = _ids_np(g.column("block"))
         vecs = _normalize(_matrix(g.column(vec_col)))
-        if i == j:
-            sims = vecs @ vecs.T
-            ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
-            xa, xb = ids[ia], ids[ib]
-        else:
-            mi, mj = blocks == i, blocks == j
-            sims = vecs[mi] @ vecs[mj].T
-            ia, ib = np.nonzero(sims >= threshold)
-            xa, xb = ids[mi][ia], ids[mj][ib]
-        cos = sims[ia, ib] if len(ia) else np.zeros(0)
-        lo_ids = np.minimum(xa, xb)
-        hi_ids = np.maximum(xa, xb)
+        bounds = np.r_[np.flatnonzero(run_starts(cells)), len(cells)]
+        xa, xb, cos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], \
+            [np.zeros(0)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            i, j = divmod(int(cells[lo]), n_blocks)
+            c_ids, c_blk, c_vec = ids[lo:hi], blocks[lo:hi], vecs[lo:hi]
+            if i == j:
+                sims = c_vec @ c_vec.T
+                ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
+                xa.append(c_ids[ia])
+                xb.append(c_ids[ib])
+            else:
+                mi, mj = c_blk == i, c_blk == j
+                sims = c_vec[mi] @ c_vec[mj].T
+                ia, ib = np.nonzero(sims >= threshold)
+                xa.append(c_ids[mi][ia])
+                xb.append(c_ids[mj][ib])
+            cos.append(sims[ia, ib])
+        xa, xb, cos = (np.concatenate(xa), np.concatenate(xb),
+                       np.concatenate(cos))
         return pa.table({
-            "vec_a": pa.array(lo_ids, pa.int64()),
-            "vec_b": pa.array(hi_ids, pa.int64()),
+            "vec_a": pa.array(np.minimum(xa, xb), pa.int64()),
+            "vec_b": pa.array(np.maximum(xa, xb), pa.int64()),
             "cosine_pm": pa.array(
                 np.round(cos * 1000).astype(np.int64), pa.int64()
             ),
@@ -428,9 +422,7 @@ def embedding_neardup_pairs(emb_ds, threshold: float = 0.9,
     exploded = emb_ds.select_columns([id_col, vec_col]).map_batches(
         _explode, batch_format="pyarrow"
     )
-    return exploded.groupby("cell").map_groups(
-        _cell_pairs, batch_format="pyarrow"
-    )
+    return sorted_runs(exploded, "cell", _cell_pairs)
 
 
 def embedding_neardup_lsh(emb_ds, threshold: float = 0.9,
@@ -448,8 +440,6 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.9,
     vs the exact path is asserted in tests. Duplicate hits across bands
     are deduped by a (vec_a, vec_b) groupby."""
     from ray.data.aggregate import Max
-
-    from .shuffle import run_starts, sorted_runs
 
     def _explode(t: pa.Table) -> pa.Table:
         hasher = _band_hashers(t, vec_col, n_bits, n_bands, seed)
@@ -531,7 +521,6 @@ def quantize_embeddings(emb_ds, id_col: str = "vec_id",
     magnitude above it); callers quantizing near-zero vectors must
     rescale first or carry a finer unit."""
     import numpy as np
-    import pyarrow.compute as pc
 
     def _quant(t: pa.Table) -> pa.Table:
         col = t.column(emb_col).combine_chunks()

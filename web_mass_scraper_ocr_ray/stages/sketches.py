@@ -17,6 +17,19 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import bit_length_u64, fnv64_bulk
+from .shuffle import key_starts, sorted_runs
+
+
+def _hll_estimates(regs: np.ndarray) -> np.ndarray:
+    """Bias-corrected HLL estimate of each row of a (sketches, 2^p)
+    register matrix (small-range correction where it applies)."""
+    m = float(regs.shape[1])
+    alpha = 0.7213 / (1 + 1.079 / m)
+    est = alpha * m * m / np.sum(2.0 ** -regs.astype(np.float64), axis=1)
+    zeros = np.count_nonzero(regs == 0, axis=1)
+    small = (est <= 2.5 * m) & (zeros > 0)
+    est[small] = m * np.log(m / zeros[small])
+    return est
 
 
 class HyperLogLog:
@@ -50,14 +63,7 @@ class HyperLogLog:
         return self
 
     def estimate(self) -> float:
-        m = float(self.m)
-        alpha = 0.7213 / (1 + 1.079 / m)
-        est = alpha * m * m / np.sum(2.0 ** -self.registers.astype(np.float64))
-        if est <= 2.5 * m:  # small-range correction
-            zeros = int(np.count_nonzero(self.registers == 0))
-            if zeros:
-                est = m * np.log(m / zeros)
-        return float(est)
+        return float(_hll_estimates(self.registers[None, :])[0])
 
     def to_bytes(self) -> bytes:
         return self.registers.tobytes()
@@ -90,9 +96,10 @@ def approx_distinct(ds, column: str, p: int = 12) -> float:
 def grouped_approx_distinct(ds, group_col: str, value_col: str,
                             p: int = 12):
     """Per-GROUP approximate distinct — one HLL per (group, batch)
-    crosses the wire (2^p bytes each), merged per group in
-    ``map_groups``; the data itself never shuffles. → Dataset of
-    (group, estimate float). The per-batch loop is over the batch's
+    crosses the wire (2^p bytes each); one ``sorted_runs`` on the group
+    merges the registers of every group run of a sorted block with one
+    ``np.maximum.reduceat``; the data itself never shuffles. → Dataset
+    of (group, estimate float). The per-batch loop is over the batch's
     DISTINCT groups (hosts, types — small), values are added to each
     group's sketch vectorized."""
     import pandas as pd
@@ -112,18 +119,18 @@ def grouped_approx_distinct(ds, group_col: str, value_col: str,
             "sketch": pa.array(rows_s, pa.binary()),
         })
 
-    def _merge(df: "pd.DataFrame") -> "pd.DataFrame":
-        h = HyperLogLog(p)
-        for raw in df["sketch"]:
-            h.merge(HyperLogLog.from_bytes(raw, p))
-        return pd.DataFrame({
-            group_col: [df[group_col].iloc[0]],
-            "estimate": [h.estimate()],
+    def _merge(t: pa.Table) -> pa.Table:
+        starts = np.flatnonzero(key_starts(t, group_col))
+        regs = np.frombuffer(b"".join(t.column("sketch").to_pylist()),
+                             np.uint8).reshape(t.num_rows, 1 << p)
+        return pa.table({
+            group_col: t.column(group_col).take(starts),
+            "estimate": pa.array(_hll_estimates(
+                np.maximum.reduceat(regs, starts, axis=0)), pa.float64()),
         })
 
-    return ds.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(group_col).map_groups(_merge, batch_format="pandas")
+    return sorted_runs(ds.map_batches(_partial, batch_format="pyarrow"),
+                       group_col, _merge)
 
 
 def size_histogram(ds, column: str = "html_len"):
@@ -396,14 +403,16 @@ def grouped_exact_quantiles(ds, column: str, group_col: str,
                             qs_bp=(2500, 5000, 7500, 9000, 9900)):
     """Per-GROUP exact discrete quantiles — :func:`exact_quantiles`
     with the histogram keyed by (group, value) and the selection scan
-    run inside ``groupby(group).map_groups``: unlike the global
-    variant, NOTHING reaches the driver; the output is a Dataset of
-    (group, q_bp, value) rows. Same integer percentile_disc rank rule
-    (target rank ceil(q*n) = (q_bp*n + 9999)//10000) so the SQL
-    oracle reproduces it bit-exactly. The shuffle carries O(groups ×
+    run over the group runs of one ``sorted_runs`` on the group (one
+    block-wide cumsum + ``searchsorted`` for every run and quantile):
+    unlike the global variant, NOTHING is collected to the caller;
+    the output is a Dataset of (group, q_bp, value) rows. Same
+    integer percentile_disc rank rule (target rank ceil(q*n) =
+    (q_bp*n + 9999)//10000) so the SQL oracle reproduces it
+    bit-exactly. The shuffle carries O(groups ×
     distinct values) count rows — the audit-table shape (per-source
     length distributions) at any corpus size."""
-    import pandas as pd
+    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -415,21 +424,29 @@ def grouped_exact_quantiles(ds, column: str, group_col: str,
         [group_col, column]
     ).aggregate(Sum("cnt", alias_name="cnt"))
 
-    def _select(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(column)
-        cum = g["cnt"].to_numpy().cumsum()
-        tot = int(cum[-1])
-        values = g[column].to_numpy()
-        rows = []
-        for q_bp in qs_bp:
-            target = (q_bp * tot + 9999) // 10000
-            idx = int(np.searchsorted(cum, max(target, 1)))
-            rows.append((g[group_col].iloc[0], int(q_bp),
-                         int(values[min(idx, len(values) - 1)])))
-        return pd.DataFrame(rows, columns=[group_col, "q_bp", "value"])
+    q = np.asarray(qs_bp, np.int64)
 
-    return hist.groupby(group_col).map_groups(
-        _select, batch_format="pandas")
+    def _select(t: pa.Table) -> pa.Table:
+        s = t.take(pc.sort_indices(t, sort_keys=[
+            (group_col, "ascending"), (column, "ascending")]))
+        starts = np.flatnonzero(key_starts(s, group_col))
+        last = np.r_[starts[1:], s.num_rows] - 1
+        # one cumsum over the block; a run's counts start at base
+        cum = np.cumsum(s.column("cnt").to_numpy(zero_copy_only=False)
+                        .astype(np.int64))
+        base = np.r_[0, cum][starts]
+        target = np.maximum(
+            (q * (cum[last] - base)[:, None] + 9999) // 10000, 1)
+        idx = np.minimum(np.searchsorted(cum, base[:, None] + target),
+                         last[:, None])
+        values = s.column(column).to_numpy(zero_copy_only=False)
+        return pa.table({
+            group_col: s.column(group_col).take(np.repeat(starts, len(q))),
+            "q_bp": pa.array(np.tile(q, len(starts)), pa.int64()),
+            "value": pa.array(values[idx.reshape(-1)].astype(np.int64)),
+        })
+
+    return sorted_runs(hist, group_col, _select)
 
 
 class KLLQuantileSketch:
